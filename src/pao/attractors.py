@@ -118,10 +118,17 @@ def _de_donors(positions, rng):
         raise ValueError(f"derand1bin attractor needs at least 4 particles, got {n}")
     donors = np.empty_like(positions)
     for i in range(n):
-        others = np.delete(np.arange(n), i)
-        a, b, c = rng.choice(others, size=3, replace=False)
+        a, b, c = pick_others(n, i, 3, rng)
         donors[i] = positions[a] + DE_WEIGHT * (positions[b] - positions[c])
     return donors
+
+
+def pick_others(n, i, size, rng):
+    """``size`` distinct indices from range(n) without ``i``: the donor draw
+    shared by the DE attractor and the DE/SADE baselines."""
+    others = np.arange(n - 1)
+    others[i:] += 1
+    return rng.choice(others, size=size, replace=False)
 
 
 def weighted_centroid(aset: AttractorSet) -> np.ndarray:

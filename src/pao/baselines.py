@@ -1,20 +1,23 @@
 """Comparison optimisers behind the same run contract as the attractor
 engine: PSO, QPSO, DE and SADE.
 
-Each run uses exactly n * (generations + 1) objective evaluations, keeps a
-monotone best-so-far history, respects box bounds by clipping, and is fully
-determined by its seed.  Hyperparameter defaults are canonical literature
-values; the values actually used are recorded in the run's ``params``.
+Each optimiser supplies only its move rule; ``engine.drive`` owns the run
+contract (seeded start, exactly n * (generations + 1) objective evaluations,
+monotone best-so-far history) and ``engine.update_archive`` folds every
+generation's trials into the best archives, greedily for DE and SADE.
+Trials respect the box by clipping.  Hyperparameter defaults are canonical
+literature values; the values actually used are recorded in the run's
+``params``.
 """
 
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .benchmarks import Problem, shift_to_zero
-from .engine import evaluate_population
-from .records import RunRecord, history_entry
+from .attractors import pick_others
+from .benchmarks import Problem
+from .engine import drive, update_archive
+from .records import RunRecord
 
 OPTIMIZER_IDS = ("pao", "pso", "qpso", "de", "sade")
 
@@ -82,103 +85,41 @@ def _check_finite(cfg, skip=()):
             raise ValueError(f"{type(cfg).__name__}.{name} must be finite, got {value}")
 
 
-def _start_record(optimizer, problem, n, generations, seed, params) -> RunRecord:
-    if generations < 0:
-        raise ValueError(f"generations must be >= 0, got {generations}")
-    if n < 1:
-        raise ValueError(f"population size must be >= 1, got {n}")
-    return RunRecord(
-        run_id=f"{optimizer}_{problem.name}_{problem.dim}d_seed{seed}",
-        optimizer=optimizer,
-        problem=problem.name,
-        dim=problem.dim,
-        seed=int(seed),
-        pop=n,
-        gens=generations,
-        evals=n * (generations + 1),
-        history=[],
-        params=params,
-    )
-
-
-def _log(record, problem, g, best_fit, best_pos, fitness):
-    record.history.append(
-        history_entry(
-            g=g,
-            best=float(best_fit),
-            mean=float(fitness.mean()),
-            shifted_best=shift_to_zero(problem, float(best_fit)),
-        )
-    )
-    record.best_pos.append(np.array(best_pos))
+def _schedule(start, end, swarm, generations):
+    """Linear decay from ``start`` to ``end`` over the run's generations."""
+    return start + (end - start) * (swarm.generation / max(generations - 1, 1))
 
 
 def run_pso(problem: Problem, n: int, generations: int, cfg: PsoConfig = PsoConfig(), seed=0) -> RunRecord:
-    record = _start_record("pso", problem, n, generations, seed, asdict(cfg))
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    d = problem.dim
-    pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
-    vel = np.zeros((n, d))
-    fit = evaluate_population(problem, pos)
-    pbest_pos, pbest_fit = pos.copy(), fit.copy()
-    b = int(np.argmin(pbest_fit))
-    gbest_pos, gbest_fit = pbest_pos[b].copy(), float(pbest_fit[b])
-    _log(record, problem, 0, gbest_fit, gbest_pos, fit)
-
     vmax = cfg.vmax_frac * (problem.upper - problem.lower)
-    for g in range(1, generations + 1):
-        frac = (g - 1) / max(generations - 1, 1)
-        w = cfg.w_start + (cfg.w_end - cfg.w_start) * frac
-        r1 = rng.uniform(size=(n, d))
-        r2 = rng.uniform(size=(n, d))
-        vel = w * vel + cfg.c1 * r1 * (pbest_pos - pos) + cfg.c2 * r2 * (gbest_pos - pos)
+
+    def move(swarm, rng):
+        w = _schedule(cfg.w_start, cfg.w_end, swarm, generations)
+        pos, vel = swarm.positions, swarm.velocities
+        r1 = rng.uniform(size=pos.shape)
+        r2 = rng.uniform(size=pos.shape)
+        vel = w * vel + cfg.c1 * r1 * (swarm.local_best_pos - pos) + cfg.c2 * r2 * (swarm.global_best_pos - pos)
         vel = np.clip(vel, -vmax, vmax)
         pos = np.clip(pos + vel, problem.lower, problem.upper)
-        fit = evaluate_population(problem, pos)
-        improved = fit < pbest_fit
-        pbest_pos[improved] = pos[improved]
-        pbest_fit[improved] = fit[improved]
-        b = int(np.argmin(pbest_fit))
-        if pbest_fit[b] < gbest_fit:
-            gbest_pos, gbest_fit = pbest_pos[b].copy(), float(pbest_fit[b])
-        _log(record, problem, g, gbest_fit, gbest_pos, fit)
-    record.duration_ms = (time.perf_counter() - t0) * 1e3
-    return record
+        return update_archive(swarm, pos, vel, problem)[0]
+
+    return drive("pso", problem, n, generations, seed, asdict(cfg), move)
 
 
 def run_qpso(problem: Problem, n: int, generations: int, cfg: QpsoConfig = QpsoConfig(), seed=0) -> RunRecord:
-    record = _start_record("qpso", problem, n, generations, seed, asdict(cfg))
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    d = problem.dim
-    pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
-    fit = evaluate_population(problem, pos)
-    pbest_pos, pbest_fit = pos.copy(), fit.copy()
-    b = int(np.argmin(pbest_fit))
-    gbest_pos, gbest_fit = pbest_pos[b].copy(), float(pbest_fit[b])
-    _log(record, problem, 0, gbest_fit, gbest_pos, fit)
-
-    for g in range(1, generations + 1):
-        frac = (g - 1) / max(generations - 1, 1)
-        alpha = cfg.alpha_start + (cfg.alpha_end - cfg.alpha_start) * frac
-        mbest = pbest_pos.mean(axis=0)
-        phi = rng.uniform(size=(n, d))
-        attract = phi * pbest_pos + (1.0 - phi) * gbest_pos
-        u = np.maximum(rng.uniform(size=(n, d)), 1e-300)
-        sign = np.where(rng.uniform(size=(n, d)) < 0.5, -1.0, 1.0)
+    def move(swarm, rng):
+        alpha = _schedule(cfg.alpha_start, cfg.alpha_end, swarm, generations)
+        pos, pbest = swarm.positions, swarm.local_best_pos
+        mbest = pbest.mean(axis=0)
+        phi = rng.uniform(size=pos.shape)
+        attract = phi * pbest + (1.0 - phi) * swarm.global_best_pos
+        u = np.maximum(rng.uniform(size=pos.shape), 1e-300)
+        sign = np.where(rng.uniform(size=pos.shape) < 0.5, -1.0, 1.0)
         pos = attract + sign * alpha * np.abs(mbest - pos) * np.log(1.0 / u)
         pos = np.clip(pos, problem.lower, problem.upper)
-        fit = evaluate_population(problem, pos)
-        improved = fit < pbest_fit
-        pbest_pos[improved] = pos[improved]
-        pbest_fit[improved] = fit[improved]
-        b = int(np.argmin(pbest_fit))
-        if pbest_fit[b] < gbest_fit:
-            gbest_pos, gbest_fit = pbest_pos[b].copy(), float(pbest_fit[b])
-        _log(record, problem, g, gbest_fit, gbest_pos, fit)
-    record.duration_ms = (time.perf_counter() - t0) * 1e3
-    return record
+        return update_archive(swarm, pos, 0.0, problem)[0]
+
+    return drive("qpso", problem, n, generations, seed, asdict(cfg), move)
 
 
 def _binomial_cross(target, donor, cr, rng):
@@ -188,92 +129,61 @@ def _binomial_cross(target, donor, cr, rng):
     return np.where(mask, donor, target)
 
 
+def _de_trials(problem, swarm, fs, crs, rand1, rng):
+    """One trial per individual, clipped to the box: a rand/1 donor where
+    ``rand1`` holds, else current-to-best/2, then binomial crossover."""
+    pos = swarm.positions
+    n = pos.shape[0]
+    fs, crs, rand1 = (np.broadcast_to(v, n) for v in (fs, crs, rand1))
+    best = pos[int(np.argmin(swarm.fitness))]
+    trials = np.empty_like(pos)
+    for i in range(n):
+        f = fs[i]
+        if rand1[i]:
+            r1, r2, r3 = pick_others(n, i, 3, rng)
+            donor = pos[r1] + f * (pos[r2] - pos[r3])
+        else:
+            r1, r2, r3, r4 = pick_others(n, i, 4, rng)
+            donor = pos[i] + f * (best - pos[i]) + f * (pos[r1] - pos[r2]) + f * (pos[r3] - pos[r4])
+        trials[i] = _binomial_cross(pos[i], donor, crs[i], rng)
+    return np.clip(trials, problem.lower, problem.upper)
+
+
 def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(), seed=0) -> RunRecord:
     if n < 4:
         raise ValueError(f"de needs a population of at least 4, got {n}")
-    record = _start_record("de", problem, n, generations, seed, asdict(cfg))
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
-    fit = evaluate_population(problem, pos)
-    b = int(np.argmin(fit))
-    gbest_pos, gbest_fit = pos[b].copy(), float(fit[b])
-    _log(record, problem, 0, gbest_fit, gbest_pos, fit)
 
-    idx = np.arange(n)
-    for g in range(1, generations + 1):
-        trials = np.empty_like(pos)
-        for i in range(n):
-            r1, r2, r3 = rng.choice(np.delete(idx, i), size=3, replace=False)
-            donor = pos[r1] + cfg.f_de * (pos[r2] - pos[r3])
-            trials[i] = _binomial_cross(pos[i], donor, cfg.cr, rng)
-        trials = np.clip(trials, problem.lower, problem.upper)
-        tfit = evaluate_population(problem, trials)
-        take = tfit < fit
-        pos[take] = trials[take]
-        fit[take] = tfit[take]
-        b = int(np.argmin(fit))
-        if fit[b] < gbest_fit:
-            gbest_pos, gbest_fit = pos[b].copy(), float(fit[b])
-        _log(record, problem, g, gbest_fit, gbest_pos, fit)
-    record.duration_ms = (time.perf_counter() - t0) * 1e3
-    return record
+    def move(swarm, rng):
+        trials = _de_trials(problem, swarm, cfg.f_de, cfg.cr, True, rng)
+        return update_archive(swarm, trials, 0.0, problem, greedy=True)[0]
+
+    return drive("de", problem, n, generations, seed, asdict(cfg), move)
 
 
 def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeConfig(), seed=0) -> RunRecord:
     if n < 5:
         raise ValueError(f"sade needs a population of at least 5, got {n}")
-    record = _start_record("sade", problem, n, generations, seed, asdict(cfg))
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
-    fit = evaluate_population(problem, pos)
-    b = int(np.argmin(fit))
-    gbest_pos, gbest_fit = pos[b].copy(), float(fit[b])
-    _log(record, problem, 0, gbest_fit, gbest_pos, fit)
-
-    idx = np.arange(n)
     p_rand1 = 0.5
+    # successes and failures of (rand/1, current-to-best/2) this learning period
     ns = np.zeros(2)
     nf = np.zeros(2)
-    for g in range(1, generations + 1):
+
+    def move(swarm, rng):
+        nonlocal p_rand1
         use_rand1 = rng.uniform(size=n) < p_rand1
         crs = np.clip(rng.normal(cfg.cr_mean, cfg.cr_std, size=n), 0.0, 1.0)
         fs = rng.normal(cfg.f_mean, cfg.f_std, size=n)
-        best = pos[int(np.argmin(fit))]
-        trials = np.empty_like(pos)
-        for i in range(n):
-            others = np.delete(idx, i)
-            if use_rand1[i]:
-                r1, r2, r3 = rng.choice(others, size=3, replace=False)
-                donor = pos[r1] + fs[i] * (pos[r2] - pos[r3])
-            else:
-                r1, r2, r3, r4 = rng.choice(others, size=4, replace=False)
-                donor = (
-                    pos[i]
-                    + fs[i] * (best - pos[i])
-                    + fs[i] * (pos[r1] - pos[r2])
-                    + fs[i] * (pos[r3] - pos[r4])
-                )
-            trials[i] = _binomial_cross(pos[i], donor, crs[i], rng)
-        trials = np.clip(trials, problem.lower, problem.upper)
-        tfit = evaluate_population(problem, trials)
-        take = tfit < fit
-        pos[take] = trials[take]
-        fit[take] = tfit[take]
-        ns[0] += np.sum(take & use_rand1)
-        ns[1] += np.sum(take & ~use_rand1)
-        nf[0] += np.sum(~take & use_rand1)
-        nf[1] += np.sum(~take & ~use_rand1)
-        if g % cfg.learning_period == 0:
+        trials = _de_trials(problem, swarm, fs, crs, use_rand1, rng)
+        swarm, take = update_archive(swarm, trials, 0.0, problem, greedy=True)
+        for s, used in enumerate((use_rand1, ~use_rand1)):
+            ns[s] += np.sum(take & used)
+            nf[s] += np.sum(~take & used)
+        if swarm.generation % cfg.learning_period == 0:
             denom = ns[0] * (ns[1] + nf[1]) + ns[1] * (ns[0] + nf[0])
             if denom > 0:
                 p_rand1 = ns[0] * (ns[1] + nf[1]) / denom
             ns[:] = 0.0
             nf[:] = 0.0
-        b = int(np.argmin(fit))
-        if fit[b] < gbest_fit:
-            gbest_pos, gbest_fit = pos[b].copy(), float(fit[b])
-        _log(record, problem, g, gbest_fit, gbest_pos, fit)
-    record.duration_ms = (time.perf_counter() - t0) * 1e3
-    return record
+        return swarm
+
+    return drive("sade", problem, n, generations, seed, asdict(cfg), move)

@@ -3,7 +3,8 @@ kernel inspection.
 
 A flat JSON config file can supply any flag value plus the PAO-specific keys
 (m, zeta, k, q0, dt, attractors, bounds_policy, velocity_init,
-griewangk_denominator); explicit command-line flags win over the config.
+griewangk_denominator); explicit command-line flags win over the config,
+and any other key is rejected.
 """
 
 import argparse
@@ -28,6 +29,12 @@ from .harness import (
 from .kernel import Hyperparams, build_kernel
 from .records import read_jsonl, write_jsonl
 
+CONFIG_KEYS = (
+    "optimizer", "optimizers", "problem", "dim", "pop", "gens", "reps", "seed", "out",
+    "m", "zeta", "k", "q0", "dt", "attractors", "bounds_policy", "velocity_init",
+    "griewangk_denominator",
+)
+
 
 def _load_config(path) -> dict:
     if path is None:
@@ -36,6 +43,11 @@ def _load_config(path) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a flat JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"config {path} has unknown keys {unknown}; known keys: {', '.join(CONFIG_KEYS)}"
+        )
     return cfg
 
 

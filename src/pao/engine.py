@@ -6,10 +6,14 @@ precomputed Gaussian transition kernel, shift back, apply the bounds policy
 and update the best archives.  The state of N particles in D dimensions
 lives in one (N, D, 2) tensor so the whole move is a pair of broadcasted
 2x2 matrix products.
+
+The run contract every optimiser shares lives here too: ``drive`` seeds,
+starts, moves and logs one run, and ``update_archive`` evaluates each
+generation's trials and folds them into the best archives.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +32,8 @@ class ObjectiveEvaluationError(RuntimeError):
 
 @dataclass
 class Swarm:
-    """Swarm state: (N, D, 2) position/velocity tensor plus best archives."""
+    """Population state of every optimiser: (N, D, 2) position/velocity
+    tensor plus best archives.  Optimisers without velocities keep them zero."""
 
     x: np.ndarray
     fitness: np.ndarray
@@ -37,6 +42,8 @@ class Swarm:
     global_best_pos: np.ndarray
     global_best_fit: float
     generation: int = 0
+    # noise scale of this state, set once per generation by ``drive``
+    nu: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def positions(self) -> np.ndarray:
@@ -111,28 +118,73 @@ def apply_bounds(pos, vel, lower, upper, policy):
     return np.where(out, folded, pos), np.where(out, -vel, vel)
 
 
-def initialize_swarm(problem: Problem, n: int, cfg: PaoConfig, rng) -> Swarm:
-    """Uniform positions within the box, velocities per cfg.velocity_init,
-    best archives seeded from the first evaluation."""
+def _start_swarm(problem: Problem, n: int, rng, v_half=None) -> Swarm:
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
     d = problem.dim
+    pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
     x = np.zeros((n, d, 2))
-    x[:, :, 0] = rng.uniform(problem.lower, problem.upper, size=(n, d))
-    if cfg.velocity_init == "uniform-scaled":
-        v_half = (problem.upper - problem.lower) / (2.0 * cfg.hp.dt)
+    x[:, :, 0] = pos
+    if v_half is not None:
         x[:, :, 1] = rng.uniform(-v_half, v_half, size=(n, d))
-    fitness = evaluate_population(problem, x[:, :, 0])
+    fitness = evaluate_population(problem, pos)
     best = int(np.argmin(fitness))
     return Swarm(
         x=x,
         fitness=fitness,
-        local_best_pos=x[:, :, 0].copy(),
+        local_best_pos=pos.copy(),
         local_best_fit=fitness.copy(),
-        global_best_pos=x[best, :, 0].copy(),
+        global_best_pos=pos[best].copy(),
         global_best_fit=float(fitness[best]),
-        generation=0,
     )
+
+
+def initialize_swarm(problem: Problem, n: int, cfg: PaoConfig, rng) -> Swarm:
+    """Uniform positions within the box, velocities per cfg.velocity_init,
+    best archives seeded from the first evaluation."""
+    v_half = None
+    if cfg.velocity_init == "uniform-scaled":
+        v_half = (problem.upper - problem.lower) / (2.0 * cfg.hp.dt)
+    return _start_swarm(problem, n, rng, v_half)
+
+
+def update_archive(swarm: Swarm, pos, vel, problem: Problem, greedy: bool = False):
+    """Evaluate the trial positions and fold them into the best archives.
+
+    A trial improves its particle's personal best only if its fitness is
+    lower and it lies inside the problem's box.  With ``greedy`` (DE
+    selection) the improving trials replace their parents and the others
+    are discarded, so the population is its own archive.  Returns the next
+    generation's Swarm and the improvement mask.
+    """
+    fitness = evaluate_population(problem, pos)
+    inside = np.all((pos >= problem.lower) & (pos <= problem.upper), axis=1)
+    improved = (fitness < swarm.local_best_fit) & inside
+    local_best_pos = swarm.local_best_pos.copy()
+    local_best_fit = swarm.local_best_fit.copy()
+    local_best_pos[improved] = pos[improved]
+    local_best_fit[improved] = fitness[improved]
+    best = int(np.argmin(local_best_fit))
+    if local_best_fit[best] < swarm.global_best_fit:
+        global_best_pos = local_best_pos[best].copy()
+        global_best_fit = float(local_best_fit[best])
+    else:
+        global_best_pos = swarm.global_best_pos
+        global_best_fit = swarm.global_best_fit
+    if greedy:
+        pos, fitness = local_best_pos, local_best_fit
+    x = np.empty_like(swarm.x)
+    x[:, :, 0] = pos
+    x[:, :, 1] = vel
+    return Swarm(
+        x=x,
+        fitness=fitness,
+        local_best_pos=local_best_pos,
+        local_best_fit=local_best_fit,
+        global_best_pos=global_best_pos,
+        global_best_fit=global_best_fit,
+        generation=swarm.generation + 1,
+    ), improved
 
 
 def step_swarm(
@@ -150,7 +202,7 @@ def step_swarm(
     the draw-to-particle assignment is deterministic given the seed).
     """
     aset = compute_attractors(swarm, cfg.specs, rng, k=cfg.hp.k)
-    nu = noise_scale(swarm)
+    nu = noise_scale(swarm) if swarm.nu is None else swarm.nu
     centroid = weighted_centroid(aset)
 
     # attractors are frozen within the step, so the velocity transforms as-is
@@ -167,50 +219,27 @@ def step_swarm(
     pos, vel = apply_bounds(
         new_state[:, :, 0], new_state[:, :, 1], problem.lower, problem.upper, cfg.bounds_policy
     )
-    fitness = evaluate_population(problem, pos)
-
-    local_best_pos = swarm.local_best_pos.copy()
-    local_best_fit = swarm.local_best_fit.copy()
-    improved = fitness < local_best_fit
-    local_best_pos[improved] = pos[improved]
-    local_best_fit[improved] = fitness[improved]
-    best = int(np.argmin(local_best_fit))
-    if local_best_fit[best] < swarm.global_best_fit:
-        global_best_pos = local_best_pos[best].copy()
-        global_best_fit = float(local_best_fit[best])
-    else:
-        global_best_pos = swarm.global_best_pos
-        global_best_fit = swarm.global_best_fit
-
-    new_x = np.empty_like(swarm.x)
-    new_x[:, :, 0] = pos
-    new_x[:, :, 1] = vel
-    return Swarm(
-        x=new_x,
-        fitness=fitness,
-        local_best_pos=local_best_pos,
-        local_best_fit=local_best_fit,
-        global_best_pos=global_best_pos,
-        global_best_fit=global_best_fit,
-        generation=swarm.generation + 1,
-    )
+    return update_archive(swarm, pos, vel, problem)[0]
 
 
-def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) -> RunRecord:
-    """Full optimiser run: init plus ``generations`` steps, seeded end to end.
+def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None, log_nu=False):
+    """One optimiser run under the shared contract.
 
-    Uses exactly n * (generations + 1) objective evaluations.
+    Seeds one generator, starts the population (``start(rng)``, by default
+    uniform in the box with zero velocities), then applies ``move(swarm,
+    rng)`` ``generations`` times, logging the best-so-far after each
+    generation.  Every evaluation goes through :func:`update_archive`, so a
+    run uses exactly n * (generations + 1) of them.  With ``log_nu`` the
+    noise scale of each generation is computed once, logged and left on the
+    swarm for the next move.
     """
     if generations < 0:
         raise ValueError(f"generations must be >= 0, got {generations}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    kernel = build_kernel(cfg.hp)
-    swarm = initialize_swarm(problem, n, cfg, rng)
-
     record = RunRecord(
-        run_id=f"pao_{problem.name}_{problem.dim}d_seed{seed}",
-        optimizer="pao",
+        run_id=f"{optimizer}_{problem.name}_{problem.dim}d_seed{seed}",
+        optimizer=optimizer,
         problem=problem.name,
         dim=problem.dim,
         seed=int(seed),
@@ -218,25 +247,38 @@ def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) ->
         gens=generations,
         evals=n * (generations + 1),
         history=[],
-        params=cfg.params_dict(),
+        params=params,
     )
-    _log_generation(record, problem, swarm)
-    for _ in range(generations):
-        swarm = step_swarm(swarm, kernel, cfg, problem, rng)
-        _log_generation(record, problem, swarm)
+    swarm = start(rng) if start else _start_swarm(problem, n, rng)
+    for g in range(generations + 1):
+        if g:
+            swarm = move(swarm, rng)
+        best = float(swarm.global_best_fit)
+        record.history.append(
+            history_entry(
+                g=swarm.generation,
+                best=best,
+                mean=float(swarm.fitness.mean()),
+                shifted_best=shift_to_zero(problem, best),
+            )
+        )
+        record.best_pos.append(swarm.global_best_pos.copy())
+        if log_nu:
+            swarm.nu = noise_scale(swarm)
+            record.nu.append(swarm.nu)
     record.duration_ms = (time.perf_counter() - t0) * 1e3
     return record
 
 
-def _log_generation(record: RunRecord, problem: Problem, swarm: Swarm):
-    best = float(swarm.global_best_fit)
-    record.history.append(
-        history_entry(
-            g=swarm.generation,
-            best=best,
-            mean=float(swarm.fitness.mean()),
-            shifted_best=shift_to_zero(problem, best),
-        )
+def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) -> RunRecord:
+    """Full optimiser run: init plus ``generations`` steps, seeded end to end.
+
+    Uses exactly n * (generations + 1) objective evaluations.
+    """
+    kernel = build_kernel(cfg.hp)
+    return drive(
+        "pao", problem, n, generations, seed, cfg.params_dict(),
+        move=lambda swarm, rng: step_swarm(swarm, kernel, cfg, problem, rng),
+        start=lambda rng: initialize_swarm(problem, n, cfg, rng),
+        log_nu=True,
     )
-    record.best_pos.append(swarm.global_best_pos.copy())
-    record.nu.append(noise_scale(swarm))

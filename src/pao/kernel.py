@@ -51,6 +51,9 @@ class Hyperparams:
 
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(float(v) for v in self.k))
+        for name in ("m", "zeta", "q0", "dt", "k"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.m > 0):
             raise ValueError(f"inertia m must be > 0, got {self.m}")
         if not (self.dt > 0):

@@ -47,6 +47,12 @@ class RunRecord:
         best = [h["best"] for h in self.history]
         if any(b2 > b1 for b1, b2 in zip(best, best[1:])):
             raise ValueError(f"{self.run_id}: best-fitness sequence is not non-increasing")
+        for h in self.history:
+            # the problem's optimum is best - shifted_best
+            if h["shifted_best"] < -1e-9 * max(1.0, abs(h["best"] - h["shifted_best"])):
+                raise ValueError(
+                    f"{self.run_id}: shifted best {h['shifted_best']} lies below the optimum at g={h['g']}"
+                )
 
     def to_json_dict(self, include_duration: bool = True) -> dict:
         out = {

@@ -67,6 +67,15 @@ class TestRun:
         main(["run", "--config", str(cfg), "--problem", "ackley", "--out", str(out)])
         assert read_jsonl(out)[0].problem == "ackley"
 
+    @pytest.mark.parametrize("command", [["run"], ["bench", "--suite", "2d"]])
+    def test_rejects_unknown_config_keys(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pop": 8, "gens": 1, "zeta_": 0.5, "atractors": ["globalbest"]}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"unknown keys \['atractors', 'zeta_'\].*known keys: .*zeta"):
+            main(command + ["--out", str(out), "--config", str(cfg)])
+        assert not out.exists()
+
     def test_rejects_non_object_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

@@ -279,6 +279,17 @@ class TestRun:
         rec = run_pao(make_problem("dejong", 2), 10, 10, cfg, seed=1)
         rec.check()
 
+    def test_unbounded_run_archives_only_in_box_bests(self):
+        # without a bounds policy schwefel's swarm leaves the box, where the
+        # objective falls far below the in-box optimum; no such point may
+        # become a best
+        problem = make_problem("schwefel", 2)
+        rec = run_pao(problem, 100, 100, PaoConfig(bounds_policy="none"), seed=0)
+        rec.check()
+        assert rec.final_shifted_best() >= 0.0
+        for pos in rec.best_pos:
+            assert np.all((pos >= problem.lower) & (pos <= problem.upper))
+
     def test_converges_on_sphere(self):
         rec = run_pao(make_problem("dejong", 2), 50, 80, PaoConfig(), seed=4)
         assert rec.final_best() < 1e-4

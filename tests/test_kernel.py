@@ -80,6 +80,23 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("m", dict(m=np.inf)),
+            ("zeta", dict(zeta=np.nan)),
+            ("zeta", dict(zeta=np.inf)),
+            ("q0", dict(q0=np.nan)),
+            ("q0", dict(q0=np.inf)),
+            ("dt", dict(dt=np.inf)),
+            ("k", dict(k=(1.0, np.inf))),
+            ("k", dict(k=(np.nan, 1.0))),
+        ],
+    )
+    def test_rejects_non_finite(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Hyperparams(**kwargs)
+
     def test_zero_stiffness_allowed_when_total_positive(self):
         assert Hyperparams(k=(0.0, 1.0)).k_total == 1.0
 

@@ -46,6 +46,12 @@ class TestContract:
         with pytest.raises(ValueError, match="non-increasing"):
             rec.check()
 
+    def test_check_rejects_best_below_optimum(self):
+        rec = make_record()
+        rec.history[-1]["shifted_best"] = -0.5
+        with pytest.raises(ValueError, match="below the optimum"):
+            rec.check()
+
     def test_json_dict_key_order(self):
         keys = list(make_record().to_json_dict())
         assert keys == [
