@@ -42,11 +42,9 @@ from .harness import (
 from .kernel import (
     DegenerateCovariance,
     Hyperparams,
-    NumericalFailure,
     TransitionKernel,
     build_drift_matrix,
     build_kernel,
-    matrix_exponential,
     matrix_fraction_decomposition,
     psd_cholesky,
     sample_transition,
@@ -63,7 +61,6 @@ __all__ = [
     "DeConfig",
     "DegenerateCovariance",
     "Hyperparams",
-    "NumericalFailure",
     "OPTIMIZER_IDS",
     "PROBLEM_NAMES",
     "PaoConfig",
@@ -83,7 +80,6 @@ __all__ = [
     "emit_plot_data",
     "initialize_swarm",
     "make_problem",
-    "matrix_exponential",
     "matrix_fraction_decomposition",
     "noise_scale",
     "psd_cholesky",

@@ -1,10 +1,11 @@
 """Command-line harness for single runs, benchmark suites, plot data and
 kernel inspection.
 
-A flat JSON config file can supply any flag value plus the PAO-specific keys
-(m, zeta, k, q0, dt, attractors, bounds_policy, velocity_init,
-griewangk_denominator); explicit command-line flags win over the config,
-and any other key is rejected.
+A flat JSON config file can supply the command's flag values (``run``:
+optimizer, problem, dim, pop, gens, reps, seed, out; ``bench``: optimizers,
+pop, gens, reps, seed) plus the PAO-specific keys (m, zeta, k, q0, dt,
+attractors, bounds_policy, velocity_init, griewangk_denominator); explicit
+command-line flags win over the config, and any other key is rejected.
 """
 
 import argparse
@@ -29,24 +30,25 @@ from .harness import (
 from .kernel import Hyperparams, build_kernel
 from .records import read_jsonl, write_jsonl
 
-CONFIG_KEYS = (
-    "optimizer", "optimizers", "problem", "dim", "pop", "gens", "reps", "seed", "out",
+PAO_KEYS = (
     "m", "zeta", "k", "q0", "dt", "attractors", "bounds_policy", "velocity_init",
     "griewangk_denominator",
 )
+RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out") + PAO_KEYS
+BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed") + PAO_KEYS
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a flat JSON object")
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ValueError(
-            f"config {path} has unknown keys {unknown}; known keys: {', '.join(CONFIG_KEYS)}"
+            f"config {path} has unknown keys {unknown}; known keys: {', '.join(keys)}"
         )
     return cfg
 
@@ -93,7 +95,7 @@ def _pao_config(config: dict) -> PaoConfig:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, RUN_KEYS)
     optimizer = _pick(args.optimizer, config, "optimizer", "pao")
     problem_name = _pick(args.problem, config, "problem", "dejong")
     dim = int(_pick(args.dim, config, "dim", 2))
@@ -123,7 +125,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, BENCH_KEYS)
     suite = standard_suite(
         args.suite,
         pop=int(config.get("pop", 100)),

@@ -2,6 +2,7 @@
 precedence, driven through main() with a miniature workload."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -73,6 +74,24 @@ class TestRun:
         cfg.write_text(json.dumps({"pop": 8, "gens": 1, "zeta_": 0.5, "atractors": ["globalbest"]}))
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=r"unknown keys \['atractors', 'zeta_'\].*known keys: .*zeta"):
+            main(command + ["--out", str(out), "--config", str(cfg)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            (["run"], ["optimizers"]),
+            (["bench", "--suite", "2d"], ["dim", "optimizer", "out", "problem"]),
+        ],
+    )
+    def test_rejects_keys_of_the_other_command(self, tmp_path, command, keys):
+        # bench runs a whole suite, so a single problem, dim, optimiser or
+        # output path in its config would be silently ignored, as would an
+        # optimiser list given to run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pop": 8, "gens": 1, **{k: "x" for k in keys}}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=rf"unknown keys {re.escape(str(keys))}; known keys: "):
             main(command + ["--out", str(out), "--config", str(cfg)])
         assert not out.exists()
 
