@@ -12,7 +12,6 @@ from .attractors import (
 )
 from .baselines import (
     DeConfig,
-    OPTIMIZER_IDS,
     PsoConfig,
     QpsoConfig,
     SadeConfig,
@@ -31,6 +30,7 @@ from .engine import (
 )
 from .harness import (
     BenchmarkSuite,
+    OPTIMIZER_IDS,
     aggregate_convergence,
     derive_seed,
     emit_plot_data,

@@ -36,16 +36,17 @@ class AttractorSpec:
             raise ValueError(
                 f"unknown attractor kind {self.kind!r}; expected one of {VALID_KINDS}"
             )
-        if self.stddev < 0:
-            raise ValueError(f"stddev must be >= 0, got {self.stddev}")
+        if not (0 <= self.stddev < np.inf):
+            raise ValueError(f"attractor spec {self.kind}:{self.stddev}: stddev must be finite and >= 0")
 
     @classmethod
     def parse(cls, text: str) -> "AttractorSpec":
         """Parse a config string, e.g. ``globalbest`` or ``stochasticgaussian:0.5``."""
         kind, _, arg = text.partition(":")
-        if arg:
-            return cls(kind, stddev=float(arg))
-        return cls(kind)
+        spec = cls(kind, stddev=float(arg)) if arg else cls(kind)
+        if arg and spec.kind != "stochasticgaussian":
+            raise ValueError(f"attractor spec {text!r}: {spec.kind} takes no argument")
+        return spec
 
     def label(self) -> str:
         """Round-trippable config string for this spec."""

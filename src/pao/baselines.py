@@ -19,8 +19,6 @@ from .benchmarks import Problem
 from .engine import drive, update_archive
 from .records import RunRecord
 
-OPTIMIZER_IDS = ("pao", "pso", "qpso", "de", "sade")
-
 
 @dataclass(frozen=True)
 class PsoConfig:

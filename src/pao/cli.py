@@ -3,9 +3,10 @@ kernel inspection.
 
 A flat JSON config file can supply the command's flag values (``run``:
 optimizer, problem, dim, pop, gens, reps, seed, out; ``bench``: optimizers,
-pop, gens, reps, seed) plus the PAO-specific keys (m, zeta, k, q0, dt,
-attractors, bounds_policy, velocity_init, griewangk_denominator); explicit
-command-line flags win over the config, and any other key is rejected.
+pop, gens, reps, seed), griewangk_denominator, and the PAO-specific keys (m,
+zeta, k, q0, dt, attractors, bounds_policy, velocity_init), which ``run``
+accepts only with optimizer pao; explicit command-line flags win over the
+config, and any other key is rejected.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import sys
 import numpy as np
 
 from .attractors import AttractorSpec
-from .baselines import OPTIMIZER_IDS
 from .benchmarks import PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
 from .harness import (
@@ -23,6 +23,7 @@ from .harness import (
     derive_seed,
     emit_plot_data,
     format_summary,
+    OPTIMIZER_IDS,
     run_one,
     run_suite,
     standard_suite,
@@ -30,12 +31,9 @@ from .harness import (
 from .kernel import Hyperparams, build_kernel
 from .records import read_jsonl, write_jsonl
 
-PAO_KEYS = (
-    "m", "zeta", "k", "q0", "dt", "attractors", "bounds_policy", "velocity_init",
-    "griewangk_denominator",
-)
-RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out") + PAO_KEYS
-BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed") + PAO_KEYS
+PAO_KEYS = ("m", "zeta", "k", "q0", "dt", "attractors", "bounds_policy", "velocity_init")
+RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")
+BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed", "griewangk_denominator") + PAO_KEYS
 
 
 def _load_config(path, keys) -> dict:
@@ -45,12 +43,16 @@ def _load_config(path, keys) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a flat JSON object")
+    _check_keys(path, cfg, keys)
+    return cfg
+
+
+def _check_keys(path, cfg: dict, keys, context=""):
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ValueError(
-            f"config {path} has unknown keys {unknown}; known keys: {', '.join(keys)}"
+            f"config {path} has unknown keys {unknown}{context}; known keys: {', '.join(keys)}"
         )
-    return cfg
 
 
 def _pick(cli_value, config: dict, key: str, default):
@@ -95,8 +97,11 @@ def _pao_config(config: dict) -> PaoConfig:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config, RUN_KEYS)
+    config = _load_config(args.config, RUN_KEYS + PAO_KEYS)
     optimizer = _pick(args.optimizer, config, "optimizer", "pao")
+    is_pao = optimizer.strip().lower() == "pao"
+    if not is_pao:
+        _check_keys(args.config, config, RUN_KEYS, f" for optimizer {optimizer!r}")
     problem_name = _pick(args.problem, config, "problem", "dejong")
     dim = int(_pick(args.dim, config, "dim", 2))
     pop = int(_pick(args.pop, config, "pop", 100))
@@ -108,7 +113,7 @@ def _cmd_run(args) -> int:
     problem = make_problem(
         problem_name, dim, float(config.get("griewangk_denominator", 400.0))
     )
-    cfg = _pao_config(config) if optimizer.strip().lower() == "pao" else None
+    cfg = _pao_config(config) if is_pao else None
     records = []
     for rep in range(reps):
         rec = run_one(optimizer, problem, pop, gens, derive_seed(seed, rep), cfg)

@@ -4,8 +4,10 @@ One generation: compute attractors, shift positions into attractor-centred
 coordinates, advance every (position, velocity) pair exactly through the
 precomputed Gaussian transition kernel, shift back, apply the bounds policy
 and update the best archives.  The state of N particles in D dimensions
-lives in one (N, D, 2) tensor so the whole move is a pair of broadcasted
-2x2 matrix products.
+lives in one (N, D, 2) tensor, so the whole move is one call to the
+kernel's sampler, ``kernel.sample_transition``; given the attractors and
+before the bounds policy, each element's move has the density
+``kernel.transition_logpdf`` reports.
 
 The run contract every optimiser shares lives here too: ``drive`` seeds,
 starts, moves and logs one run, and ``update_archive`` evaluates each
@@ -19,7 +21,7 @@ import numpy as np
 
 from .attractors import AttractorSpec, compute_attractors, noise_scale, weighted_centroid
 from .benchmarks import Problem, shift_to_zero
-from .kernel import Hyperparams, TransitionKernel, build_kernel
+from .kernel import Hyperparams, TransitionKernel, build_kernel, sample_transition
 from .records import RunRecord, history_entry
 
 BOUNDS_POLICIES = ("none", "clip", "reflect")
@@ -187,38 +189,22 @@ def update_archive(swarm: Swarm, pos, vel, problem: Problem, greedy: bool = Fals
     ), improved
 
 
-def step_swarm(
-    swarm: Swarm,
-    kernel: TransitionKernel,
-    cfg: PaoConfig,
-    problem: Problem,
-    rng,
-    noise=None,
-) -> Swarm:
+def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: Problem, rng) -> Swarm:
     """Advance the swarm one generation; returns a new Swarm.
 
-    ``noise`` may supply the (N, D, 2) standard-normal tensor explicitly
-    (the per-element draws are otherwise taken from ``rng`` in one block, so
-    the draw-to-particle assignment is deterministic given the seed).
+    The centred (N, D, 2) state moves through one ``sample_transition`` call
+    at noise variance q0 * nu, which draws one (N, D, 2) block from ``rng``.
     """
-    aset = compute_attractors(swarm, cfg.specs, rng, k=cfg.hp.k)
+    centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, rng, k=cfg.hp.k))
     nu = noise_scale(swarm) if swarm.nu is None else swarm.nu
-    centroid = weighted_centroid(aset)
 
     # attractors are frozen within the step, so the velocity transforms as-is
     state = swarm.x.copy()
     state[:, :, 0] -= centroid
-    new_state = np.einsum("kl,ijl->ijk", kernel.a, state)
-    variance = cfg.hp.q0 * nu
-    if variance > 0.0:
-        if noise is None:
-            noise = rng.standard_normal(state.shape)
-        new_state += np.sqrt(variance) * np.einsum("kl,ijl->ijk", kernel.h, noise)
-    new_state[:, :, 0] += centroid
+    state = sample_transition(kernel, state, cfg.hp.q0 * nu, rng)
+    state[:, :, 0] += centroid
 
-    pos, vel = apply_bounds(
-        new_state[:, :, 0], new_state[:, :, 1], problem.lower, problem.upper, cfg.bounds_policy
-    )
+    pos, vel = apply_bounds(state[:, :, 0], state[:, :, 1], problem.lower, problem.upper, cfg.bounds_policy)
     return update_archive(swarm, pos, vel, problem)[0]
 
 

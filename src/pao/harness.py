@@ -12,11 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines
-from .baselines import DeConfig, OPTIMIZER_IDS, PsoConfig, QpsoConfig, SadeConfig
+from . import baselines, engine
+from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import PROBLEM_NAMES, make_problem
-from .engine import PaoConfig, run_pao
+from .engine import PaoConfig
 from .records import write_jsonl
+
+# optimiser id -> (module, runner name, default config type).  A runner is looked
+# up by name at each call, so one replaced in its module is the one that runs.
+_OPTIMIZERS = {
+    "pao": (engine, "run_pao", PaoConfig),
+    "pso": (baselines, "run_pso", PsoConfig),
+    "qpso": (baselines, "run_qpso", QpsoConfig),
+    "de": (baselines, "run_de", DeConfig),
+    "sade": (baselines, "run_sade", SadeConfig),
+}
+OPTIMIZER_IDS = tuple(_OPTIMIZERS)
 
 _MASK = (1 << 64) - 1
 
@@ -82,17 +93,10 @@ def standard_suite(which: str, **overrides) -> BenchmarkSuite:
 def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
     """Run a single optimiser under the shared run contract."""
     opt = optimizer.strip().lower()
-    if opt == "pao":
-        return run_pao(problem, n, generations, cfg or PaoConfig(), seed)
-    if opt == "pso":
-        return baselines.run_pso(problem, n, generations, cfg or PsoConfig(), seed)
-    if opt == "qpso":
-        return baselines.run_qpso(problem, n, generations, cfg or QpsoConfig(), seed)
-    if opt == "de":
-        return baselines.run_de(problem, n, generations, cfg or DeConfig(), seed)
-    if opt == "sade":
-        return baselines.run_sade(problem, n, generations, cfg or SadeConfig(), seed)
-    raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_IDS}")
+    if opt not in _OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_IDS}")
+    module, runner, config_type = _OPTIMIZERS[opt]
+    return getattr(module, runner)(problem, n, generations, cfg or config_type(), seed)
 
 
 def run_suite(suite: BenchmarkSuite, out_path, include_duration: bool = True) -> dict:

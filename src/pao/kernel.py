@@ -181,29 +181,34 @@ def build_kernel(hp: Hyperparams) -> TransitionKernel:
     return TransitionKernel(a=a, sigma_unit=sigma, h=h)
 
 
-def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -> np.ndarray:
-    """Draw the next (position, velocity) state given the current one.
+def _matvec(m, x):
+    """m @ s for every state s along the last axis of x.  A stack of states
+    goes through one (M, 2) product, which beats a broadcast 3-D one."""
+    return m @ x if x.ndim == 1 else (x.reshape(-1, x.shape[-1]) @ m.T).reshape(x.shape)
 
-    Returns a @ x + sqrt(noise_variance) * h @ d with d ~ N(0, I_2).  With
-    zero noise variance the Gaussian draw is skipped entirely and the
-    deterministic map is applied.
+
+def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -> np.ndarray:
+    """Draw the next (position, velocity) states of a (..., 2) array of states.
+
+    Returns x A^T + sqrt(noise_variance) z H^T, with z drawn from ``rng`` in
+    one ``standard_normal(x.shape)`` block.  With zero noise variance the
+    draw is skipped entirely and the deterministic map is applied.
     """
     if noise_variance < 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
-    x = np.asarray(x, dtype=float)
-    mean = kernel.a @ x
+    mean = _matvec(kernel.a, np.asarray(x, dtype=float))
     if noise_variance == 0.0:
         return mean
-    d = rng.standard_normal(2)
-    return mean + np.sqrt(noise_variance) * (kernel.h @ d)
+    return mean + math.sqrt(noise_variance) * _matvec(kernel.h, rng.standard_normal(mean.shape))
 
 
 def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: float) -> float:
-    """Log-density of the one-step transition from x_from to x_to.
+    """Log-density of the one-step transition from the state x_from to x_to.
 
-    The transition is Gaussian with mean a @ x_from and covariance
-    noise_variance * sigma_unit.  Exposed so the optimiser can serve as a
-    proposal inside sequential Monte Carlo schemes.
+    The transition is Gaussian with mean x_from A^T, through the map of
+    :func:`sample_transition`, and covariance noise_variance * sigma_unit.
+    Exposed so the optimiser can serve as a proposal inside sequential Monte
+    Carlo schemes.
     """
     if noise_variance <= 0:
         raise DegenerateCovariance(
@@ -214,6 +219,6 @@ def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: fl
     scale = float(np.abs(cov).max())
     if det <= (1e-12 * scale) ** 2 or not np.isfinite(det):
         raise DegenerateCovariance("transition covariance is singular beyond tolerance")
-    r = np.asarray(x_to, dtype=float) - kernel.a @ np.asarray(x_from, dtype=float)
+    r = np.asarray(x_to, dtype=float) - _matvec(kernel.a, np.asarray(x_from, dtype=float))
     maha = (cov[1, 1] * r[0] ** 2 - 2.0 * cov[0, 1] * r[0] * r[1] + cov[0, 0] * r[1] ** 2) / det
     return float(-np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * maha)

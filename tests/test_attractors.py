@@ -61,6 +61,21 @@ class TestSpec:
         with pytest.raises(ValueError, match="stddev"):
             AttractorSpec("stochasticgaussian", stddev=-1.0)
 
+    @pytest.mark.parametrize("sd", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stddev(self, sd):
+        with pytest.raises(ValueError, match=r"attractor spec stochasticgaussian:.*stddev"):
+            AttractorSpec("stochasticgaussian", stddev=sd)
+
+    @pytest.mark.parametrize("text", ["stochasticgaussian:nan", "stochasticgaussian:inf"])
+    def test_parse_rejects_non_finite_stddev(self, text):
+        with pytest.raises(ValueError, match=r"attractor spec stochasticgaussian:.*stddev"):
+            AttractorSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["globalbest:0.5", "derand1bin:1.0", " LocalBest :2"])
+    def test_parse_rejects_argument_of_kind_without_one(self, text):
+        with pytest.raises(ValueError, match=f"attractor spec {text!r}: .* takes no argument"):
+            AttractorSpec.parse(text)
+
     @given(st.floats(0.0, 10.0))
     def test_label_round_trips_stddev(self, sd):
         spec = AttractorSpec("stochasticgaussian", stddev=sd)

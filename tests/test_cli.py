@@ -95,6 +95,24 @@ class TestRun:
             main(command + ["--out", str(out), "--config", str(cfg)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("optimizer_in", ["flag", "config"])
+    def test_rejects_pao_keys_for_other_optimizers(self, tmp_path, optimizer_in):
+        # a PSO run reads none of the PAO keys; griewangk_denominator holds
+        # for every optimizer, so it is not among the rejected keys
+        keys = {"zeta": 0.5, "attractors": ["globalbest"], "k": [3]}
+        flag = ["--optimizer", "pso"] if optimizer_in == "flag" else []
+        if optimizer_in == "config":
+            keys["optimizer"] = "pso"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pop": 8, "gens": 1, "griewangk_denominator": 4000.0, **keys}))
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(
+            ValueError,
+            match=r"unknown keys \['attractors', 'k', 'zeta'\] for optimizer 'pso'; known keys: .*griewangk",
+        ):
+            main(["run", *flag, "--out", str(out), "--config", str(cfg)])
+        assert not out.exists()
+
     def test_rejects_non_object_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pao.attractors import AttractorSpec
+from pao.attractors import AttractorSpec, compute_attractors, noise_scale, weighted_centroid
 from pao.benchmarks import make_problem
 from pao.engine import (
     ObjectiveEvaluationError,
@@ -16,7 +16,7 @@ from pao.engine import (
     run_pao,
     step_swarm,
 )
-from pao.kernel import Hyperparams, build_kernel
+from pao.kernel import Hyperparams, build_kernel, transition_logpdf
 
 from support import CountingProblem
 
@@ -200,12 +200,31 @@ class TestStep:
         stepped = step_swarm(swarm, kernel, cfg, problem, rng)
         np.testing.assert_allclose(stepped.x, swarm.x, atol=1e-12)
 
-    def test_explicit_noise_tensor_is_used(self):
-        problem, cfg, kernel, swarm, _ = self.make()
-        noise = np.random.default_rng(7).standard_normal(swarm.x.shape)
-        s1 = step_swarm(swarm, kernel, cfg, problem, np.random.default_rng(1), noise=noise)
-        s2 = step_swarm(swarm, kernel, cfg, problem, np.random.default_rng(2), noise=noise)
-        np.testing.assert_array_equal(s1.x, s2.x)
+    def test_moves_have_the_kernel_density(self):
+        # unbounded, so the move is the kernel's Gaussian; the default menu
+        # draws nothing, so re-computing the attractors gives the step's own.
+        # The squared Mahalanobis distance of each element's move is then
+        # chi-squared with 2 degrees of freedom, mean 2 (standard error of
+        # the mean over 3 * 800 elements: 0.04)
+        cfg = PaoConfig(hp=Hyperparams(q0=0.5), bounds_policy="none")
+        problem = make_problem("rastrigin", 8)
+        rng = np.random.default_rng(20261018)
+        swarm = initialize_swarm(problem, 100, cfg, rng)
+        kernel = build_kernel(cfg.hp)
+        maha = []
+        for _ in range(3):
+            centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, None, k=cfg.hp.k))
+            var = cfg.hp.q0 * noise_scale(swarm)
+            log_norm = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(var * kernel.sigma_unit))
+            stepped = step_swarm(swarm, kernel, cfg, problem, rng)
+            x_from, x_to = swarm.x.copy(), stepped.x.copy()
+            x_from[:, :, 0] -= centroid
+            x_to[:, :, 0] -= centroid
+            for a, b in zip(x_from.reshape(-1, 2), x_to.reshape(-1, 2)):
+                maha.append(-2.0 * (transition_logpdf(kernel, a, b, var) - log_norm))
+            swarm = stepped
+        assert len(maha) == 3 * 100 * 8
+        assert abs(np.mean(maha) - 2.0) < 0.15
 
     def test_input_swarm_not_mutated(self):
         problem, cfg, kernel, swarm, rng = self.make()

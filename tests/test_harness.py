@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from pao import baselines, engine
 from pao.engine import PaoConfig
 from pao.baselines import DeConfig, PsoConfig
 from pao.benchmarks import make_problem
@@ -88,6 +89,21 @@ class TestRunOne:
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
             run_one("cmaes", make_problem("dejong", 2), 8, 3, seed=1)
+
+    @pytest.mark.parametrize(
+        "opt, module, runner, config_type",
+        [("pao", engine, "run_pao", PaoConfig), ("de", baselines, "run_de", DeConfig)],
+    )
+    def test_runner_is_looked_up_at_call_time(self, monkeypatch, opt, module, runner, config_type):
+        # a runner replaced in its module after import, as an outside-in
+        # tracer does, is the one that runs
+        calls = []
+        monkeypatch.setattr(module, runner, lambda *args: calls.append(args) or "record")
+        problem = make_problem("dejong", 2)
+        assert run_one(opt, problem, 8, 3, seed=1) == "record"
+        assert len(calls) == 1
+        assert calls[0][:3] == (problem, 8, 3) and calls[0][4] == 1
+        assert isinstance(calls[0][3], config_type)
 
 
 class TestRunSuite:

@@ -305,6 +305,35 @@ class TestKernelAndSampling:
         # and the rng was never consumed
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
+    def test_single_state_is_the_matrix_vector_map(self):
+        # one state: bit for bit a @ x + sqrt(v) (h @ d), with d the
+        # generator's next two standard normals
+        kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        states = np.random.default_rng(6).standard_normal((200, 2)) * 10.0 ** np.arange(-4, 6, 0.05)[:, None]
+        for x, var in zip(states, 10.0 ** np.linspace(-6, 3, 200)):
+            want = kernel.a @ x + np.sqrt(var) * (kernel.h @ twin.standard_normal(2))
+            assert sample_transition(kernel, x, var, rng).tobytes() == want.tobytes()
+
+    def test_stack_of_states_draws_one_block(self):
+        # an (N, D, 2) stack consumes the generator as one (N, D, 2) draw,
+        # and every state gets the single-state map of its own draw
+        kernel = build_kernel(Hyperparams())
+        x = np.random.default_rng(3).standard_normal((6, 4, 2))
+        got = sample_transition(kernel, x, 0.3, np.random.default_rng(9))
+        z = np.random.default_rng(9).standard_normal(x.shape)
+        assert got.shape == x.shape
+        for i in np.ndindex(x.shape[:2]):
+            np.testing.assert_allclose(
+                got[i], kernel.a @ x[i] + np.sqrt(0.3) * (kernel.h @ z[i]), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 3)])
+    def test_rejects_states_that_are_not_pairs(self, shape):
+        kernel = build_kernel(Hyperparams())
+        with pytest.raises(ValueError):
+            sample_transition(kernel, np.ones(shape), 0.5, np.random.default_rng(0))
+
     def test_rejects_negative_variance(self):
         kernel = build_kernel(Hyperparams())
         with pytest.raises(ValueError):
