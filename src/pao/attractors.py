@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Differential weight of the rand/1/bin donor attractor.
+# Differential weight of the derand1bin attractor's rand/1 donor.
 DE_WEIGHT = 0.5
 
 _DETERMINISTIC_KINDS = (
@@ -114,22 +114,27 @@ def _fitness_weighted_mean(positions, fitness):
 
 
 def _de_donors(positions, rng):
+    """The derand1bin attractor: the rand/1 donor p_a + 0.5 (p_b - p_c), with
+    a, b, c distinct and not the particle itself; no crossover is applied."""
     n = positions.shape[0]
     if n < 4:
         raise ValueError(f"derand1bin attractor needs at least 4 particles, got {n}")
-    donors = np.empty_like(positions)
-    for i in range(n):
-        a, b, c = pick_others(n, i, 3, rng)
-        donors[i] = positions[a] + DE_WEIGHT * (positions[b] - positions[c])
-    return donors
+    a, b, c = draw_donors(n, 3, rng).T
+    return positions[a] + DE_WEIGHT * (positions[b] - positions[c])
 
 
-def pick_others(n, i, size, rng):
-    """``size`` distinct indices from range(n) without ``i``: the donor draw
-    shared by the DE attractor and the DE/SADE baselines."""
-    others = np.arange(n - 1)
-    others[i:] += 1
-    return rng.choice(others, size=size, replace=False)
+def draw_donors(n, size, rng):
+    """(n, size) donor indices shared by the DE attractor and the DE/SADE
+    baselines: row i holds ``size`` distinct indices from range(n) without i
+    (n > size), each pick uniform over the indices not yet taken."""
+    taken = np.arange(n)[:, None]
+    for t in range(size):
+        # one of the n - 1 - t free slots, stepped past the taken indices in ascending order
+        pick = rng.integers(n - 1 - t, size=n)
+        for excluded in np.sort(taken, axis=1).T:
+            pick += pick >= excluded
+        taken = np.column_stack((taken, pick))
+    return taken[:, 1:]
 
 
 def weighted_centroid(aset: AttractorSet) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attractors import pick_others
+from .attractors import draw_donors
 from .benchmarks import Problem
 from .engine import drive, update_archive
 from .records import RunRecord
@@ -120,31 +120,23 @@ def run_qpso(problem: Problem, n: int, generations: int, cfg: QpsoConfig = QpsoC
     return drive("qpso", problem, n, generations, seed, asdict(cfg), move)
 
 
-def _binomial_cross(target, donor, cr, rng):
-    d = target.shape[0]
-    mask = rng.uniform(size=d) < cr
-    mask[rng.integers(d)] = True
-    return np.where(mask, donor, target)
-
-
-def _de_trials(problem, swarm, fs, crs, rand1, rng):
-    """One trial per individual, clipped to the box: a rand/1 donor where
-    ``rand1`` holds, else current-to-best/2, then binomial crossover."""
+def _de_trials(problem, swarm, fs, crs, rng, rand1=None):
+    """One trial per row, clipped to the box: rand/1 donors from three drawn
+    indices, or with ``rand1`` four per row and current-to-best/2 where it is
+    false; then binomial crossover with the row's CR (``fs`` and ``crs`` are
+    scalars or one per row) and one forced donor coordinate."""
     pos = swarm.positions
-    n = pos.shape[0]
-    fs, crs, rand1 = (np.broadcast_to(v, n) for v in (fs, crs, rand1))
-    best = pos[int(np.argmin(swarm.fitness))]
-    trials = np.empty_like(pos)
-    for i in range(n):
-        f = fs[i]
-        if rand1[i]:
-            r1, r2, r3 = pick_others(n, i, 3, rng)
-            donor = pos[r1] + f * (pos[r2] - pos[r3])
-        else:
-            r1, r2, r3, r4 = pick_others(n, i, 4, rng)
-            donor = pos[i] + f * (best - pos[i]) + f * (pos[r1] - pos[r2]) + f * (pos[r3] - pos[r4])
-        trials[i] = _binomial_cross(pos[i], donor, crs[i], rng)
-    return np.clip(trials, problem.lower, problem.upper)
+    n, d = pos.shape
+    fs, crs = (np.reshape(v, (-1, 1)) for v in (fs, crs))
+    p = pos[draw_donors(n, 3 if rand1 is None else 4, rng)]
+    donors = p[:, 0] + fs * (p[:, 1] - p[:, 2])
+    if rand1 is not None:
+        best = pos[int(np.argmin(swarm.fitness))]
+        to_best = pos + fs * (best - pos) + fs * (p[:, 0] - p[:, 1]) + fs * (p[:, 2] - p[:, 3])
+        donors = np.where(rand1[:, None], donors, to_best)
+    cross = rng.uniform(size=(n, d)) < crs
+    cross[np.arange(n), rng.integers(d, size=n)] = True
+    return np.clip(np.where(cross, donors, pos), problem.lower, problem.upper)
 
 
 def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(), seed=0) -> RunRecord:
@@ -152,7 +144,7 @@ def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(
         raise ValueError(f"de needs a population of at least 4, got {n}")
 
     def move(swarm, rng):
-        trials = _de_trials(problem, swarm, cfg.f_de, cfg.cr, True, rng)
+        trials = _de_trials(problem, swarm, cfg.f_de, cfg.cr, rng)
         return update_archive(swarm, trials, 0.0, problem, greedy=True)[0]
 
     return drive("de", problem, n, generations, seed, asdict(cfg), move)
@@ -171,7 +163,7 @@ def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeC
         use_rand1 = rng.uniform(size=n) < p_rand1
         crs = np.clip(rng.normal(cfg.cr_mean, cfg.cr_std, size=n), 0.0, 1.0)
         fs = rng.normal(cfg.f_mean, cfg.f_std, size=n)
-        trials = _de_trials(problem, swarm, fs, crs, use_rand1, rng)
+        trials = _de_trials(problem, swarm, fs, crs, rng, use_rand1)
         swarm, take = update_archive(swarm, trials, 0.0, problem, greedy=True)
         for s, used in enumerate((use_rand1, ~use_rand1)):
             ns[s] += np.sum(take & used)

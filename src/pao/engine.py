@@ -248,7 +248,8 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
                 shifted_best=shift_to_zero(problem, best),
             )
         )
-        record.best_pos.append(swarm.global_best_pos.copy())
+        # shared, not copied: a new best is always a new array, never written in place
+        record.best_pos.append(swarm.global_best_pos)
         if log_nu:
             swarm.nu = noise_scale(swarm)
             record.nu.append(swarm.nu)

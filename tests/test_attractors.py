@@ -13,6 +13,7 @@ from pao.attractors import (
     DE_WEIGHT,
     VALID_KINDS,
     compute_attractors,
+    draw_donors,
     noise_scale,
     weighted_centroid,
 )
@@ -180,6 +181,34 @@ class TestRules:
     def test_k_length_mismatch(self):
         with pytest.raises(ValueError, match="stiffnesses"):
             compute_attractors(self.swarm, [AttractorSpec("globalbest")], self.rng, k=(1.0, 2.0))
+
+
+class TestDonorDraw:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
+    def test_rows_are_distinct_others_in_range(self, seed, n, size):
+        size = min(size, n - 1)
+        idx = draw_donors(n, size, np.random.default_rng(seed))
+        assert idx.shape == (n, size)
+        assert idx.min() >= 0 and idx.max() < n
+        for i, row in enumerate(idx):
+            assert len(set(row)) == size and i not in row
+
+    @pytest.mark.parametrize("n, size", [(4, 3), (5, 4)])
+    def test_floor_sizes_take_every_other_index(self, n, size):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            for i, row in enumerate(draw_donors(n, size, rng)):
+                assert sorted(row) == [j for j in range(n) if j != i]
+
+    def test_ordered_triples_are_uniform(self):
+        # chi-squared over the 24 ordered triples of each row at n = 5; 49.73
+        # is the 0.999 quantile of chi2 with 23 degrees of freedom
+        rng = np.random.default_rng(11)
+        draws = np.array([draw_donors(5, 3, rng) for _ in range(4800)])
+        for i in range(5):
+            _, counts = np.unique(draws[:, i], axis=0, return_counts=True)
+            assert len(counts) == 24
+            assert ((counts - 200.0) ** 2 / 200.0).sum() < 49.73
 
 
 class TestCentroidAndNoise:

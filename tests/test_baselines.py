@@ -1,6 +1,8 @@
 """Baseline optimiser tests: the shared run contract across PSO, QPSO, DE
 and SADE, plus algorithm-specific behaviour."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from pao.baselines import (
     PsoConfig,
     QpsoConfig,
     SadeConfig,
-    _binomial_cross,
+    _de_trials,
     run_de,
     run_pso,
     run_qpso,
@@ -98,6 +100,11 @@ class TestPopulationFloors:
         with pytest.raises(ValueError, match="at least 5"):
             run_sade(make_problem("dejong", 2), 4, 5, SadeConfig(), seed=0)
 
+    def test_floors_run(self):
+        # DE draws three donors and SADE four, so each runs at its floor
+        run_de(make_problem("rastrigin", 3), 4, 20, DeConfig(), seed=0).check()
+        run_sade(make_problem("rastrigin", 3), 5, 20, SadeConfig(), seed=0).check()
+
 
 class TestDeBehaviour:
     def test_greedy_selection_keeps_population_mean_monotone(self):
@@ -108,23 +115,32 @@ class TestDeBehaviour:
             means = [h["mean"] for h in rec.history]
             assert all(m2 <= m1 + 1e-12 for m1, m2 in zip(means, means[1:]))
 
-    def test_binomial_cross_always_takes_donor(self):
+    @staticmethod
+    def crossed(crs, rand1=None):
+        # which trial coordinates came from the donor: with distinct random
+        # positions a donor coordinate equals its target's only by accident
+        problem = make_problem("dejong", 6)
         rng = np.random.default_rng(0)
-        target = np.zeros(6)
-        donor = np.ones(6)
-        for _ in range(200):
-            trial = _binomial_cross(target, donor, 0.0, rng)
-            assert trial.sum() == 1.0  # exactly the forced coordinate
-        for _ in range(200):
-            trial = _binomial_cross(target, donor, 1.0, rng)
-            assert trial.sum() == 6.0  # every coordinate crossed
+        pos = rng.uniform(-1.0, 1.0, size=(40, 6))
+        swarm = SimpleNamespace(positions=pos, fitness=problem.evaluate(pos))
+        return _de_trials(problem, swarm, 0.5, crs, rng, rand1) != pos
 
-    def test_binomial_cross_mixes(self):
-        rng = np.random.default_rng(1)
-        counts = [
-            _binomial_cross(np.zeros(8), np.ones(8), 0.5, rng).sum() for _ in range(500)
-        ]
-        assert 2.0 < np.mean(counts) < 7.0
+    RAND1 = (None, np.arange(40) % 3 == 0)
+
+    def test_crossover_cr_zero_takes_one_donor_coordinate(self):
+        for rand1 in self.RAND1:
+            np.testing.assert_array_equal(self.crossed(0.0, rand1).sum(axis=1), 1)
+
+    def test_crossover_cr_one_takes_every_donor_coordinate(self):
+        for rand1 in self.RAND1:
+            assert self.crossed(1.0, rand1).all()
+
+    def test_crossover_honours_per_row_cr(self):
+        crs = np.tile([0.0, 1.0, 0.5], 14)[:40]
+        counts = self.crossed(crs, self.RAND1[1]).sum(axis=1)
+        np.testing.assert_array_equal(counts[0::3], 1)
+        np.testing.assert_array_equal(counts[1::3], 6)
+        assert 2.0 < counts[2::3].mean() < 5.0
 
 
 class TestPsoBehaviour:

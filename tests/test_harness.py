@@ -12,6 +12,7 @@ from pao.engine import PaoConfig
 from pao.baselines import DeConfig, PsoConfig
 from pao.benchmarks import make_problem
 from pao.harness import (
+    OPTIMIZER_IDS,
     BenchmarkSuite,
     aggregate_convergence,
     derive_seed,
@@ -85,6 +86,15 @@ class TestRunOne:
         rec = run_one(opt, make_problem("dejong", 2), 8, 3, seed=1)
         rec.check()
         assert rec.optimizer == opt
+
+    @pytest.mark.parametrize("opt", OPTIMIZER_IDS)
+    def test_logged_best_positions_score_the_logged_bests(self, opt):
+        # the record keeps the archive's own best arrays, uncopied, so a later
+        # generation must never write into an earlier best
+        problem = make_problem("rastrigin", 3)
+        rec = run_one(opt, problem, 10, 30, seed=4)
+        for g, h in enumerate(rec.history):
+            assert problem.evaluate(rec.best_pos[g][None])[0] == h["best"]
 
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
