@@ -83,7 +83,7 @@ def compute_attractors(swarm, specs, rng, k=None) -> AttractorSet:
         k = (1.0,) * len(specs)
     if len(k) != len(specs):
         raise ValueError(f"{len(specs)} specs but {len(k)} stiffnesses")
-    positions = swarm.x[:, :, 0]
+    positions = swarm.positions
     n, d = positions.shape
     alpha = np.empty((len(specs), n, d))
     for s, spec in enumerate(specs):
@@ -153,5 +153,5 @@ def noise_scale(swarm) -> float:
     collapses onto its best point, so the injected noise dies out with
     convergence.
     """
-    diff = swarm.x[:, :, 0].mean(axis=0) - swarm.global_best_pos
+    diff = swarm.positions.mean(axis=0) - swarm.global_best_pos
     return float(diff @ diff)

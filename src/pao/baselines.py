@@ -115,7 +115,7 @@ def run_qpso(problem: Problem, n: int, generations: int, cfg: QpsoConfig = QpsoC
         sign = np.where(rng.uniform(size=pos.shape) < 0.5, -1.0, 1.0)
         pos = attract + sign * alpha * np.abs(mbest - pos) * np.log(1.0 / u)
         pos = np.clip(pos, problem.lower, problem.upper)
-        return update_archive(swarm, pos, 0.0, problem)[0]
+        return update_archive(swarm, pos, swarm.velocities, problem)[0]
 
     return drive("qpso", problem, n, generations, seed, asdict(cfg), move)
 
@@ -145,7 +145,7 @@ def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(
 
     def move(swarm, rng):
         trials = _de_trials(problem, swarm, cfg.f_de, cfg.cr, rng)
-        return update_archive(swarm, trials, 0.0, problem, greedy=True)[0]
+        return update_archive(swarm, trials, swarm.velocities, problem, greedy=True)[0]
 
     return drive("de", problem, n, generations, seed, asdict(cfg), move)
 
@@ -164,7 +164,7 @@ def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeC
         crs = np.clip(rng.normal(cfg.cr_mean, cfg.cr_std, size=n), 0.0, 1.0)
         fs = rng.normal(cfg.f_mean, cfg.f_std, size=n)
         trials = _de_trials(problem, swarm, fs, crs, rng, use_rand1)
-        swarm, take = update_archive(swarm, trials, 0.0, problem, greedy=True)
+        swarm, take = update_archive(swarm, trials, swarm.velocities, problem, greedy=True)
         for s, used in enumerate((use_rand1, ~use_rand1)):
             ns[s] += np.sum(take & used)
             nf[s] += np.sum(~take & used)

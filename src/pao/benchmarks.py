@@ -11,6 +11,8 @@ import numpy as np
 
 # Refined location of the Schwefel minimiser (per dimension).
 SCHWEFEL_OPT = 420.968746
+# Griewangk's printed quadratic coefficient is 1/400; the literature often uses 1/4000.
+GRIEWANGK_DENOMINATOR = 400.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +120,7 @@ _CATALOG = {
 PROBLEM_NAMES = tuple(_CATALOG)
 
 
-def make_problem(name: str, dim: int, griewangk_denominator: float = 400.0) -> Problem:
+def make_problem(name: str, dim: int, griewangk_denominator: float = GRIEWANGK_DENOMINATOR) -> Problem:
     """Build one of the nine benchmark problems in the given dimension.
 
     The Griewangk quadratic coefficient defaults to the printed 1/400 but can

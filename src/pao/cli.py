@@ -12,11 +12,12 @@ config, and any other key is rejected.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .attractors import AttractorSpec
-from .benchmarks import PROBLEM_NAMES, make_problem
+from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
 from .harness import (
     aggregate_convergence,
@@ -76,23 +77,18 @@ def _str_list(value):
 
 
 def _pao_config(config: dict) -> PaoConfig:
-    specs = tuple(
-        AttractorSpec.parse(s)
-        for s in _str_list(config.get("attractors", ["localbest", "globalbest"]))
-    )
-    k = _float_list(config.get("k", [1.0] * len(specs)))
-    hp = Hyperparams(
-        m=float(config.get("m", 1.0)),
-        zeta=float(config.get("zeta", 0.2)),
-        k=k,
-        q0=float(config.get("q0", 1.0)),
-        dt=float(config.get("dt", 1.0)),
-    )
+    """The config's PAO keys over ``PaoConfig()``'s defaults; k defaults to
+    one 1.0 per attractor."""
+    base = PaoConfig()
+    specs = base.specs
+    if "attractors" in config:
+        specs = tuple(AttractorSpec.parse(s) for s in _str_list(config["attractors"]))
+    given = {key: float(config[key]) for key in ("m", "zeta", "q0", "dt") if key in config}
     return PaoConfig(
-        hp=hp,
+        hp=replace(base.hp, k=_float_list(config.get("k", [1.0] * len(specs))), **given),
         specs=specs,
-        bounds_policy=config.get("bounds_policy", "clip"),
-        velocity_init=config.get("velocity_init", "zero"),
+        bounds_policy=config.get("bounds_policy", base.bounds_policy),
+        velocity_init=config.get("velocity_init", base.velocity_init),
     )
 
 
@@ -111,7 +107,7 @@ def _cmd_run(args) -> int:
     out = _pick(args.out, config, "out", None)
 
     problem = make_problem(
-        problem_name, dim, float(config.get("griewangk_denominator", 400.0))
+        problem_name, dim, float(config.get("griewangk_denominator", GRIEWANGK_DENOMINATOR))
     )
     cfg = _pao_config(config) if is_pao else None
     records = []
@@ -138,7 +134,7 @@ def _cmd_bench(args) -> int:
         reps=int(_pick(args.reps, config, "reps", 20)),
         base_seed=int(_pick(args.seed, config, "seed", 0)),
         optimizers=tuple(_str_list(_pick(args.optimizers, config, "optimizers", OPTIMIZER_IDS))),
-        griewangk_denominator=float(config.get("griewangk_denominator", 400.0)),
+        griewangk_denominator=float(config.get("griewangk_denominator", GRIEWANGK_DENOMINATOR)),
         pao=_pao_config(config),
     )
     summary = run_suite(suite, args.out)
@@ -208,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.set_defaults(func=_cmd_plot_data)
 
     kinfo_p = sub.add_parser("kernel-info", help="print A, Sigma, H and eigenvalue moduli")
-    kinfo_p.add_argument("--m", type=float, default=1.0)
-    kinfo_p.add_argument("--zeta", type=float, default=0.2)
-    kinfo_p.add_argument("--k", default="1,1", help="comma-separated stiffnesses")
-    kinfo_p.add_argument("--q0", type=float, default=1.0)
-    kinfo_p.add_argument("--dt", type=float, default=1.0)
+    kinfo_p.add_argument("--m", type=float, default=Hyperparams.m)
+    kinfo_p.add_argument("--zeta", type=float, default=Hyperparams.zeta)
+    kinfo_p.add_argument("--k", default=",".join(map(str, Hyperparams.k)), help="comma-separated stiffnesses")
+    kinfo_p.add_argument("--q0", type=float, default=Hyperparams.q0)
+    kinfo_p.add_argument("--dt", type=float, default=Hyperparams.dt)
     kinfo_p.set_defaults(func=_cmd_kernel_info)
 
     return parser

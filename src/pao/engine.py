@@ -3,11 +3,12 @@
 One generation: compute attractors, shift positions into attractor-centred
 coordinates, advance every (position, velocity) pair exactly through the
 precomputed Gaussian transition kernel, shift back, apply the bounds policy
-and update the best archives.  The state of N particles in D dimensions
-lives in one (N, D, 2) tensor, so the whole move is one call to the
-kernel's sampler, ``kernel.sample_transition``; given the attractors and
-before the bounds policy, each element's move has the density
-``kernel.transition_logpdf`` reports.
+and update the best archives.  The state of N particles in D dimensions is
+two (N, D) arrays, positions and velocities; the step stacks them into one
+(N, D, 2) state only for its one call to the kernel's sampler,
+``kernel.sample_transition``.  Given the attractors and before the bounds
+policy, each element's move has the density ``kernel.transition_logpdf``
+reports.
 
 The run contract every optimiser shares lives here too: ``drive`` seeds,
 starts, moves and logs one run, and ``update_archive`` evaluates each
@@ -34,10 +35,13 @@ class ObjectiveEvaluationError(RuntimeError):
 
 @dataclass
 class Swarm:
-    """Population state of every optimiser: (N, D, 2) position/velocity
-    tensor plus best archives.  Optimisers without velocities keep them zero."""
+    """Population state of every optimiser: (N, D) positions and velocities
+    (zero for optimisers without them) plus best archives.  Consecutive
+    swarms share arrays (DE's positions are its local bests, one zero
+    velocity array serves a whole run), so nothing writes into them in place."""
 
-    x: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
     fitness: np.ndarray
     local_best_pos: np.ndarray
     local_best_fit: np.ndarray
@@ -46,14 +50,6 @@ class Swarm:
     generation: int = 0
     # noise scale of this state, set once per generation by ``drive``
     nu: float | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.x[:, :, 0]
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return self.x[:, :, 1]
 
 
 @dataclass(frozen=True)
@@ -125,14 +121,12 @@ def _start_swarm(problem: Problem, n: int, rng, v_half=None) -> Swarm:
         raise ValueError(f"population size must be >= 1, got {n}")
     d = problem.dim
     pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
-    x = np.zeros((n, d, 2))
-    x[:, :, 0] = pos
-    if v_half is not None:
-        x[:, :, 1] = rng.uniform(-v_half, v_half, size=(n, d))
+    vel = np.zeros((n, d)) if v_half is None else rng.uniform(-v_half, v_half, size=(n, d))
     fitness = evaluate_population(problem, pos)
     best = int(np.argmin(fitness))
     return Swarm(
-        x=x,
+        positions=pos,
+        velocities=vel,
         fitness=fitness,
         local_best_pos=pos.copy(),
         local_best_fit=fitness.copy(),
@@ -162,10 +156,8 @@ def update_archive(swarm: Swarm, pos, vel, problem: Problem, greedy: bool = Fals
     fitness = evaluate_population(problem, pos)
     inside = np.all((pos >= problem.lower) & (pos <= problem.upper), axis=1)
     improved = (fitness < swarm.local_best_fit) & inside
-    local_best_pos = swarm.local_best_pos.copy()
-    local_best_fit = swarm.local_best_fit.copy()
-    local_best_pos[improved] = pos[improved]
-    local_best_fit[improved] = fitness[improved]
+    local_best_pos = np.where(improved[:, None], pos, swarm.local_best_pos)
+    local_best_fit = np.where(improved, fitness, swarm.local_best_fit)
     best = int(np.argmin(local_best_fit))
     if local_best_fit[best] < swarm.global_best_fit:
         global_best_pos = local_best_pos[best].copy()
@@ -175,11 +167,9 @@ def update_archive(swarm: Swarm, pos, vel, problem: Problem, greedy: bool = Fals
         global_best_fit = swarm.global_best_fit
     if greedy:
         pos, fitness = local_best_pos, local_best_fit
-    x = np.empty_like(swarm.x)
-    x[:, :, 0] = pos
-    x[:, :, 1] = vel
     return Swarm(
-        x=x,
+        positions=pos,
+        velocities=vel,
         fitness=fitness,
         local_best_pos=local_best_pos,
         local_best_fit=local_best_fit,
@@ -192,19 +182,22 @@ def update_archive(swarm: Swarm, pos, vel, problem: Problem, greedy: bool = Fals
 def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: Problem, rng) -> Swarm:
     """Advance the swarm one generation; returns a new Swarm.
 
-    The centred (N, D, 2) state moves through one ``sample_transition`` call
-    at noise variance q0 * nu, which draws one (N, D, 2) block from ``rng``.
+    The centred positions and the velocities are stacked into one (N, D, 2)
+    state, the only place that layout exists, which moves through one
+    ``sample_transition`` call at noise variance q0 * nu; that call draws
+    one (N, D, 2) block from ``rng``.
     """
     centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, rng, k=cfg.hp.k))
     nu = noise_scale(swarm) if swarm.nu is None else swarm.nu
 
     # attractors are frozen within the step, so the velocity transforms as-is
-    state = swarm.x.copy()
-    state[:, :, 0] -= centroid
+    state = np.empty(swarm.positions.shape + (2,))
+    np.subtract(swarm.positions, centroid, out=state[..., 0])
+    state[..., 1] = swarm.velocities
     state = sample_transition(kernel, state, cfg.hp.q0 * nu, rng)
-    state[:, :, 0] += centroid
-
-    pos, vel = apply_bounds(state[:, :, 0], state[:, :, 1], problem.lower, problem.upper, cfg.bounds_policy)
+    pos, vel = apply_bounds(
+        state[..., 0] + centroid, state[..., 1], problem.lower, problem.upper, cfg.bounds_policy
+    )
     return update_archive(swarm, pos, vel, problem)[0]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import baselines, engine
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
-from .benchmarks import PROBLEM_NAMES, make_problem
+from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
 from .records import write_jsonl
 
@@ -57,7 +57,7 @@ class BenchmarkSuite:
     reps: int = 20
     optimizers: tuple = OPTIMIZER_IDS
     base_seed: int = 0
-    griewangk_denominator: float = 400.0
+    griewangk_denominator: float = GRIEWANGK_DENOMINATOR
     pao: PaoConfig = PaoConfig()
     pso: PsoConfig = PsoConfig()
     qpso: QpsoConfig = QpsoConfig()

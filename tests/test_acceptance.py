@@ -159,12 +159,11 @@ def test_criterion_4_deterministic_oscillator():
     problem = make_problem("dejong", 2)
 
     # particle 0 sits exactly on the attractor; particle 1 is displaced
-    x = np.zeros((2, 2, 2))
-    x[1, :, 0] = (1.0, 0.5)
-    pos = x[:, :, 0].copy()
+    pos = np.array([[0.0, 0.0], [1.0, 0.5]])
     fit = problem.evaluate(pos)
     swarm = Swarm(
-        x=x,
+        positions=pos,
+        velocities=np.zeros((2, 2)),
         fitness=fit,
         local_best_pos=pos.copy(),
         local_best_fit=fit.copy(),
@@ -177,7 +176,7 @@ def test_criterion_4_deterministic_oscillator():
     fixed_point_exact = True
     for _ in range(400):
         swarm = step_swarm(swarm, kern, cfg, problem, rng)
-        fixed_point_exact &= bool(np.all(swarm.x[0] == 0.0))
+        fixed_point_exact &= bool(np.all(swarm.positions[0] == 0.0) and np.all(swarm.velocities[0] == 0.0))
         trace.append(float(swarm.positions[1, 0]))
 
     peaks = [
@@ -219,7 +218,7 @@ def test_criterion_5_naive_equals_tensorised():
     f = build_drift_matrix(cfg.hp)
     k0, k1 = cfg.hp.k
     ktot = k0 + k1
-    state = swarm0.x.copy()
+    state = np.stack((swarm0.positions, swarm0.velocities), -1)
     lb_pos = swarm0.local_best_pos.copy()
     lb_fit = swarm0.local_best_fit.copy()
     gb_pos = swarm0.global_best_pos.copy()
@@ -255,7 +254,7 @@ def test_criterion_5_naive_equals_tensorised():
             gb_pos = lb_pos[best].copy()
         state = new
 
-    state_err = float(np.max(np.abs(state - swarm.x)))
+    state_err = float(np.max(np.abs(state - np.stack((swarm.positions, swarm.velocities), -1))))
     lb_err = float(np.max(np.abs(lb_pos - swarm.local_best_pos)))
     gb_err = float(np.max(np.abs(gb_pos - swarm.global_best_pos)))
     elapsed = time.perf_counter() - t0

@@ -21,9 +21,6 @@ from pao.attractors import (
 
 def make_swarm(positions, fitness=None, local_best_pos=None, global_best_pos=None):
     positions = np.asarray(positions, dtype=float)
-    n, d = positions.shape
-    x = np.zeros((n, d, 2))
-    x[:, :, 0] = positions
     if fitness is None:
         fitness = (positions**2).sum(axis=1)
     fitness = np.asarray(fitness, dtype=float)
@@ -32,7 +29,8 @@ def make_swarm(positions, fitness=None, local_best_pos=None, global_best_pos=Non
     if global_best_pos is None:
         global_best_pos = local_best_pos[np.argmin(fitness)].copy()
     return SimpleNamespace(
-        x=x,
+        positions=positions,
+        velocities=np.zeros_like(positions),
         fitness=fitness,
         local_best_pos=np.asarray(local_best_pos, dtype=float),
         global_best_pos=np.asarray(global_best_pos, dtype=float),
@@ -109,30 +107,30 @@ class TestRules:
         np.testing.assert_allclose(self.one("averagelocalbest"), np.tile(expected, (5, 1)))
 
     def test_averageparticle(self):
-        expected = self.swarm.x[:, :, 0].mean(axis=0)
+        expected = self.swarm.positions.mean(axis=0)
         np.testing.assert_allclose(self.one("averageparticle"), np.tile(expected, (5, 1)))
 
     def test_weightedaverage_uniform_when_fitness_flat(self):
         self.swarm.fitness = np.full(5, 3.3)
         got = self.one("weightedaverageparticle")
-        np.testing.assert_allclose(got, np.tile(self.swarm.x[:, :, 0].mean(axis=0), (5, 1)))
+        np.testing.assert_allclose(got, np.tile(self.swarm.positions.mean(axis=0), (5, 1)))
 
     def test_weightedaverage_prefers_fitter(self):
         got = self.one("weightedaverageparticle")[0]
-        plain_mean = self.swarm.x[:, :, 0].mean(axis=0)
-        best = self.swarm.x[np.argmin(self.swarm.fitness), :, 0]
+        plain_mean = self.swarm.positions.mean(axis=0)
+        best = self.swarm.positions[np.argmin(self.swarm.fitness)]
         # the weighted mean sits strictly closer to the best particle
         assert np.linalg.norm(got - best) < np.linalg.norm(plain_mean - best)
 
     def test_weightedaverage_in_convex_hull(self):
         got = self.one("weightedaverageparticle")[0]
-        pos = self.swarm.x[:, :, 0]
+        pos = self.swarm.positions
         assert np.all(got >= pos.min(axis=0) - 1e-12)
         assert np.all(got <= pos.max(axis=0) + 1e-12)
 
     def test_derand1bin_membership(self):
         # every donor must be p_a + W (p_b - p_c) for distinct a,b,c != i
-        pos = self.swarm.x[:, :, 0]
+        pos = self.swarm.positions
         donors = self.one("derand1bin")
         for i in range(5):
             others = [j for j in range(5) if j != i]

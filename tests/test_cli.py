@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from pao.cli import main
+from pao.engine import PaoConfig
 from pao.records import read_jsonl
 
 
@@ -46,6 +47,11 @@ class TestRun:
         main(["run", "--pop", "8", "--gens", "2", "--out", str(out)])
         rec = read_jsonl(out)[0]
         assert rec.optimizer == "pao" and rec.problem == "dejong" and rec.dim == 2
+
+    def test_pao_defaults_are_the_package_defaults(self, tmp_path):
+        out = tmp_path / "runs.jsonl"
+        main(["run", "--pop", "8", "--gens", "2", "--out", str(out)])
+        assert read_jsonl(out)[0].params == PaoConfig().params_dict()
 
     def test_config_file_supplies_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,11 +1,15 @@
 """Optimiser engine tests: bounds policies, swarm initialisation, the
 generation step contract and end-to-end run reproducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pao import baselines, engine
 from pao.attractors import AttractorSpec, compute_attractors, noise_scale, weighted_centroid
+from pao.baselines import PsoConfig
 from pao.benchmarks import make_problem
 from pao.engine import (
     ObjectiveEvaluationError,
@@ -16,9 +20,15 @@ from pao.engine import (
     run_pao,
     step_swarm,
 )
+from pao.harness import OPTIMIZER_IDS, run_one
 from pao.kernel import Hyperparams, build_kernel, transition_logpdf
 
 from support import CountingProblem
+
+
+def stacked(swarm):
+    """The swarm's (N, D, 2) position/velocity state."""
+    return np.stack((swarm.positions, swarm.velocities), -1)
 
 
 class TestConfig:
@@ -106,7 +116,7 @@ class TestInitialize:
     def test_positions_in_box_velocities_zero(self):
         problem = make_problem("ackley", 3)
         swarm = initialize_swarm(problem, 50, PaoConfig(), np.random.default_rng(0))
-        assert swarm.x.shape == (50, 3, 2)
+        assert swarm.positions.shape == swarm.velocities.shape == (50, 3)
         assert np.all(swarm.positions >= problem.lower)
         assert np.all(swarm.positions <= problem.upper)
         np.testing.assert_array_equal(swarm.velocities, 0.0)
@@ -173,32 +183,36 @@ class TestStep:
         problem, cfg, kernel, swarm, _ = self.make(cfg=cfg)
         s1 = step_swarm(swarm, kernel, cfg, problem, np.random.default_rng(111))
         s2 = step_swarm(swarm, kernel, cfg, problem, np.random.default_rng(999))
-        np.testing.assert_array_equal(s1.x, s2.x)
+        np.testing.assert_array_equal(stacked(s1), stacked(s2))
 
     def _collapse_onto_global_best(self, swarm, problem):
-        swarm.x[:, :, 0] = swarm.global_best_pos
-        swarm.x[:, :, 1] = 0.0
-        swarm.fitness = evaluate_population(problem, swarm.positions)
-        swarm.local_best_pos[:] = swarm.global_best_pos
-        swarm.local_best_fit[:] = swarm.global_best_fit
+        pos = np.tile(swarm.global_best_pos, (len(swarm.positions), 1))
+        return replace(
+            swarm,
+            positions=pos,
+            velocities=np.zeros_like(pos),
+            fitness=evaluate_population(problem, pos),
+            local_best_pos=pos.copy(),
+            local_best_fit=np.full(len(pos), swarm.global_best_fit),
+        )
 
     def test_particle_at_global_best_is_exact_fixed_point(self):
         # a single particle on the global best with zero velocity: nu is
         # exactly zero and the centred state is exactly zero, so the step
         # is the identity bit for bit
         problem, cfg, kernel, swarm, rng = self.make(n=1)
-        self._collapse_onto_global_best(swarm, problem)
+        swarm = self._collapse_onto_global_best(swarm, problem)
         stepped = step_swarm(swarm, kernel, cfg, problem, rng)
-        np.testing.assert_array_equal(stepped.x, swarm.x)
+        np.testing.assert_array_equal(stacked(stepped), stacked(swarm))
 
     def test_collapsed_swarm_is_near_fixed_point(self):
         # many collapsed particles: averaging their (identical) positions
         # is not bitwise exact, so nu is O(eps^2) and the state may drift
         # by O(eps) but no more
         problem, cfg, kernel, swarm, rng = self.make(n=12)
-        self._collapse_onto_global_best(swarm, problem)
+        swarm = self._collapse_onto_global_best(swarm, problem)
         stepped = step_swarm(swarm, kernel, cfg, problem, rng)
-        np.testing.assert_allclose(stepped.x, swarm.x, atol=1e-12)
+        np.testing.assert_allclose(stacked(stepped), stacked(swarm), atol=1e-12)
 
     def test_moves_have_the_kernel_density(self):
         # unbounded, so the move is the kernel's Gaussian; the default menu
@@ -217,7 +231,7 @@ class TestStep:
             var = cfg.hp.q0 * noise_scale(swarm)
             log_norm = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(var * kernel.sigma_unit))
             stepped = step_swarm(swarm, kernel, cfg, problem, rng)
-            x_from, x_to = swarm.x.copy(), stepped.x.copy()
+            x_from, x_to = stacked(swarm), stacked(stepped)
             x_from[:, :, 0] -= centroid
             x_to[:, :, 0] -= centroid
             for a, b in zip(x_from.reshape(-1, 2), x_to.reshape(-1, 2)):
@@ -228,10 +242,10 @@ class TestStep:
 
     def test_input_swarm_not_mutated(self):
         problem, cfg, kernel, swarm, rng = self.make()
-        x_before = swarm.x.copy()
+        x_before = stacked(swarm)
         lb_before = swarm.local_best_fit.copy()
         step_swarm(swarm, kernel, cfg, problem, rng)
-        np.testing.assert_array_equal(swarm.x, x_before)
+        np.testing.assert_array_equal(stacked(swarm), x_before)
         np.testing.assert_array_equal(swarm.local_best_fit, lb_before)
 
 
@@ -312,3 +326,63 @@ class TestRun:
     def test_converges_on_sphere(self):
         rec = run_pao(make_problem("dejong", 2), 50, 80, PaoConfig(), seed=4)
         assert rec.final_best() < 1e-4
+
+
+class TestSwarmContract:
+    """Every optimiser's moves, seen through ``update_archive``: a move builds
+    new arrays and never writes into a swarm it was given, the state is two
+    (N, D) arrays, and velocities obey each optimiser's rule."""
+
+    FIELDS = ("positions", "velocities", "fitness", "local_best_pos", "local_best_fit", "global_best_pos")
+
+    def run(self, monkeypatch, optimizer, cfg=None, n=12, d=3, gens=15):
+        seen = []
+
+        def keep(swarm):
+            if not any(s is swarm for s, _ in seen):
+                seen.append((swarm, {f: np.copy(getattr(swarm, f)) for f in self.FIELDS}))
+            return swarm
+
+        start, archive = engine._start_swarm, engine.update_archive
+        moves = []
+
+        def watched_archive(swarm, *args, **kwargs):
+            out, improved = archive(keep(swarm), *args, **kwargs)
+            moves.append((swarm, keep(out)))
+            return out, improved
+
+        monkeypatch.setattr(engine, "_start_swarm", lambda *a, **kw: keep(start(*a, **kw)))
+        monkeypatch.setattr(engine, "update_archive", watched_archive)
+        monkeypatch.setattr(baselines, "update_archive", watched_archive)
+        problem = make_problem("rastrigin", d)
+        run_one(optimizer, problem, n, gens, 7, cfg)
+        assert len(moves) == gens
+        return problem, seen, moves
+
+    @pytest.mark.parametrize(
+        "optimizer, cfg",
+        [(opt, None) for opt in OPTIMIZER_IDS]
+        + [("pao", PaoConfig(bounds_policy="reflect", velocity_init="uniform-scaled"))],
+    )
+    def test_moves_never_write_into_a_swarm(self, monkeypatch, optimizer, cfg):
+        _, seen, moves = self.run(monkeypatch, optimizer, cfg)
+        for swarm, snapshot in seen:
+            for f in self.FIELDS:
+                np.testing.assert_array_equal(getattr(swarm, f), snapshot[f], err_msg=f)
+        for before, after in moves:
+            assert after.positions.shape == after.velocities.shape == (12, 3)
+            assert after.generation == before.generation + 1
+
+    @pytest.mark.parametrize("optimizer", ["qpso", "de", "sade"])
+    def test_velocity_free_optimizers_keep_zero_velocities(self, monkeypatch, optimizer):
+        _, seen, _ = self.run(monkeypatch, optimizer)
+        for swarm, _ in seen:
+            assert swarm.velocities.shape == (12, 3)
+            assert np.all(swarm.velocities == 0.0)
+
+    def test_pso_velocities_within_vmax(self, monkeypatch):
+        problem, seen, _ = self.run(monkeypatch, "pso")
+        vmax = PsoConfig().vmax_frac * (problem.upper - problem.lower)
+        assert any(np.any(s.velocities != 0.0) for s, _ in seen)
+        for swarm, _ in seen:
+            assert np.all(np.abs(swarm.velocities) <= vmax)
