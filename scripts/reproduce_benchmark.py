@@ -14,6 +14,7 @@ import time
 
 from pao.harness import (
     aggregate_convergence,
+    BenchmarkSuite,
     emit_plot_data,
     format_summary,
     run_suite,
@@ -25,17 +26,21 @@ from pao.records import read_jsonl
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--suite", choices=("2d", "8d", "all"), default="all")
-    ap.add_argument("--reps", type=int, default=None,
-                    help="repetitions per cell (default 20, or 100 with --full)")
+    ap.add_argument("--reps", type=int,
+                    help=f"repetitions per cell (default {BenchmarkSuite.reps}, or 100 with --full)")
     ap.add_argument("--full", action="store_true",
                     help="published experiment size: 100 repetitions")
-    ap.add_argument("--seed", type=int, default=0, help="base seed")
+    ap.add_argument("--seed", type=int, help=f"base seed (default {BenchmarkSuite.base_seed})")
     ap.add_argument("--out", default="results")
     ap.add_argument("--optimizers", default=None,
                     help="comma-separated subset (default: all five)")
     args = ap.parse_args(argv)
 
-    overrides = {"reps": args.reps or (100 if args.full else 20), "base_seed": args.seed}
+    overrides = {}
+    if args.reps is not None or args.full:
+        overrides["reps"] = 100 if args.reps is None else args.reps
+    if args.seed is not None:
+        overrides["base_seed"] = args.seed
     if args.optimizers:
         overrides["optimizers"] = tuple(s.strip() for s in args.optimizers.split(","))
     suite = standard_suite(args.suite, **overrides)

@@ -3,7 +3,6 @@ damped stochastic oscillators advanced by their exact Gaussian transition
 kernel, plus PSO/QPSO/DE/SADE baselines and a benchmark harness."""
 
 from .attractors import (
-    AttractorSet,
     AttractorSpec,
     VALID_KINDS,
     compute_attractors,
@@ -55,7 +54,6 @@ from .records import RunRecord, read_jsonl, write_jsonl
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttractorSet",
     "AttractorSpec",
     "BenchmarkSuite",
     "DeConfig",

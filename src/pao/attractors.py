@@ -3,7 +3,9 @@ scale.
 
 Each attractor rule fills one (N, D) slice of the (r, N, D) attractor tensor
 from a snapshot of the swarm.  All rules are pure functions of that snapshot
-plus an explicit random source.
+plus an explicit random source.  The stiffnesses are not stored with the
+attractors: ``weighted_centroid`` takes them as a plain sequence, one per
+slice, and ``engine.PaoConfig`` holds them beside the attractor menu.
 """
 
 from dataclasses import dataclass
@@ -55,34 +57,12 @@ class AttractorSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
-class AttractorSet:
-    """Attractor positions alpha (r, N, D) with their stiffness weights."""
-
-    alpha: np.ndarray
-    k: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(float(v) for v in self.k))
-        if self.alpha.ndim != 3:
-            raise ValueError(f"alpha must be (r, N, D), got shape {self.alpha.shape}")
-        if self.alpha.shape[0] != len(self.k):
-            raise ValueError(
-                f"{self.alpha.shape[0]} attractor slices but {len(self.k)} stiffnesses"
-            )
-
-
-def compute_attractors(swarm, specs, rng, k=None) -> AttractorSet:
+def compute_attractors(swarm, specs, rng) -> np.ndarray:
     """Fill one attractor slice per spec from the current swarm snapshot.
 
-    ``k`` gives the stiffness per slice (defaults to all ones).  Needs the
-    swarm's fitness and best archives to be up to date.
+    Returns the (r, N, D) attractor tensor, one (N, D) slice per spec.
+    Needs the swarm's fitness and best archives to be up to date.
     """
-    specs = list(specs)
-    if k is None:
-        k = (1.0,) * len(specs)
-    if len(k) != len(specs):
-        raise ValueError(f"{len(specs)} specs but {len(k)} stiffnesses")
     positions = swarm.positions
     n, d = positions.shape
     alpha = np.empty((len(specs), n, d))
@@ -101,7 +81,7 @@ def compute_attractors(swarm, specs, rng, k=None) -> AttractorSet:
             alpha[s] = _de_donors(positions, rng)
         elif spec.kind == "stochasticgaussian":
             alpha[s] = swarm.global_best_pos + spec.stddev * rng.standard_normal((n, d))
-    return AttractorSet(alpha=alpha, k=tuple(k))
+    return alpha
 
 
 def _fitness_weighted_mean(positions, fitness):
@@ -137,13 +117,16 @@ def draw_donors(n, size, rng):
     return taken[:, 1:]
 
 
-def weighted_centroid(aset: AttractorSet) -> np.ndarray:
-    """Stiffness-weighted mean attractor, (N, D): (1/k') sum_r k_r alpha_r."""
-    k = np.asarray(aset.k)
-    k_total = k.sum()
-    if not (k_total > 0):
-        raise ValueError("total stiffness must be strictly positive")
-    return np.tensordot(k, aset.alpha, axes=(0, 0)) / k_total
+def weighted_centroid(alpha, k) -> np.ndarray:
+    """Stiffness-weighted mean attractor, (N, D): (1/k') sum_r k_r alpha_r,
+    for (r, N, D) attractors ``alpha`` and r stiffnesses ``k``."""
+    k = np.asarray(k, dtype=float)
+    if alpha.ndim != 3 or k.shape != alpha.shape[:1] or not (k.sum() > 0):
+        raise ValueError(
+            f"need (r, N, D) attractors, r stiffnesses and a total stiffness > 0; "
+            f"got alpha of shape {alpha.shape} and k = {k.tolist()}"
+        )
+    return np.tensordot(k, alpha, axes=(0, 0)) / k.sum()
 
 
 def noise_scale(swarm) -> float:

@@ -34,7 +34,7 @@ class Problem:
             raise ValueError(f"{self.name}: lower bounds must be < upper bounds")
         got = self.objective(self.optimum_pos)
         tol = 1e-9 * max(1.0, abs(self.optimum_val))
-        if abs(got - self.optimum_val) > tol:
+        if not (abs(got - self.optimum_val) <= tol):
             raise ValueError(
                 f"{self.name}: objective({self.optimum_pos}) = {got}, "
                 f"expected {self.optimum_val}"
@@ -133,6 +133,8 @@ def make_problem(name: str, dim: int, griewangk_denominator: float = GRIEWANGK_D
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if key == "rosenbrock" and dim < 2:
         raise ValueError("rosenbrock needs dimension >= 2")
+    if not (0 < griewangk_denominator < np.inf):
+        raise ValueError(f"griewangk_denominator must be finite and > 0, got {griewangk_denominator}")
     half_width, builder, opt_coord = _CATALOG[key]
     batch = builder(griewangk_denominator)
     opt_pos = np.full(dim, opt_coord)

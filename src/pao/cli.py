@@ -3,24 +3,27 @@ kernel inspection.
 
 A flat JSON config file can supply the command's flag values (``run``:
 optimizer, problem, dim, pop, gens, reps, seed, out; ``bench``: optimizers,
-pop, gens, reps, seed), griewangk_denominator, and the PAO-specific keys (m,
-zeta, k, q0, dt, attractors, bounds_policy, velocity_init), which ``run``
-accepts only with optimizer pao; explicit command-line flags win over the
-config, and any other key is rejected.
+pop, gens, reps, seed), griewangk_denominator, and the PAO-specific keys of
+``PaoConfig.params_dict`` (m, zeta, k, q0, dt, attractors, bounds_policy,
+velocity_init), which ``run`` accepts only with optimizer pao; explicit
+command-line flags win over the config, and any other key is rejected.
+Each command merges its config and flags once and passes on only the values
+the user gave, so every default is the library's own: ``BenchmarkSuite``'s
+for the suite and run sizes and the seed, ``PaoConfig.from_params``'s for
+the PAO keys.  ``run`` alone adds its own: pao on 2-D dejong, one repetition.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .attractors import AttractorSpec
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
 from .harness import (
     aggregate_convergence,
+    BenchmarkSuite,
     derive_seed,
     emit_plot_data,
     format_summary,
@@ -32,9 +35,12 @@ from .harness import (
 from .kernel import Hyperparams, build_kernel
 from .records import read_jsonl, write_jsonl
 
-PAO_KEYS = ("m", "zeta", "k", "q0", "dt", "attractors", "bounds_policy", "velocity_init")
+PAO_KEYS = tuple(PaoConfig().params_dict())
 RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")
 BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed", "griewangk_denominator") + PAO_KEYS
+INT_KEYS = ("dim", "pop", "gens", "reps", "seed")
+# list keys that a config may also give as one comma-separated string
+LIST_KEYS = ("optimizers", "attractors", "k")
 
 
 def _load_config(path, keys) -> dict:
@@ -56,67 +62,47 @@ def _check_keys(path, cfg: dict, keys, context=""):
         )
 
 
-def _pick(cli_value, config: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
+def _given(args, keys) -> dict:
+    """The config file's values under the command's flags: only the values
+    the user gave, comma-separated lists split and integer keys checked."""
+    given = _load_config(args.config, keys)
+    given.update({key: v for key, v in vars(args).items() if key in keys and v is not None})
+    for key in LIST_KEYS:
+        if isinstance(given.get(key), str):
+            given[key] = _split(given[key])
+    for key in [key for key in INT_KEYS if key in given]:
+        value = given[key]
+        if type(value) is not int and not (type(value) is float and value.is_integer()):
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+        given[key] = int(value)
+    return given
 
 
-def _float_list(value):
-    if isinstance(value, str):
-        return [float(v) for v in value.split(",") if v.strip()]
-    return [float(v) for v in value]
-
-
-def _str_list(value):
-    if isinstance(value, str):
-        return [v.strip() for v in value.split(",") if v.strip()]
-    return list(value)
-
-
-def _pao_config(config: dict) -> PaoConfig:
-    """The config's PAO keys over ``PaoConfig()``'s defaults; k defaults to
-    one 1.0 per attractor."""
-    base = PaoConfig()
-    specs = base.specs
-    if "attractors" in config:
-        specs = tuple(AttractorSpec.parse(s) for s in _str_list(config["attractors"]))
-    given = {key: float(config[key]) for key in ("m", "zeta", "q0", "dt") if key in config}
-    return PaoConfig(
-        hp=replace(base.hp, k=_float_list(config.get("k", [1.0] * len(specs))), **given),
-        specs=specs,
-        bounds_policy=config.get("bounds_policy", base.bounds_policy),
-        velocity_init=config.get("velocity_init", base.velocity_init),
-    )
+def _split(text):
+    return [v.strip() for v in text.split(",") if v.strip()]
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config, RUN_KEYS + PAO_KEYS)
-    optimizer = _pick(args.optimizer, config, "optimizer", "pao")
+    given = _given(args, RUN_KEYS + PAO_KEYS)
+    optimizer = given.get("optimizer", "pao")
     is_pao = optimizer.strip().lower() == "pao"
     if not is_pao:
-        _check_keys(args.config, config, RUN_KEYS, f" for optimizer {optimizer!r}")
-    problem_name = _pick(args.problem, config, "problem", "dejong")
-    dim = int(_pick(args.dim, config, "dim", 2))
-    pop = int(_pick(args.pop, config, "pop", 100))
-    gens = int(_pick(args.gens, config, "gens", 100))
-    reps = int(_pick(args.reps, config, "reps", 1))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    out = _pick(args.out, config, "out", None)
-
+        _check_keys(args.config, given, RUN_KEYS, f" for optimizer {optimizer!r}")
+    dim = given.get("dim", 2)
     problem = make_problem(
-        problem_name, dim, float(config.get("griewangk_denominator", GRIEWANGK_DENOMINATOR))
+        given.get("problem", "dejong"), dim, given.get("griewangk_denominator", GRIEWANGK_DENOMINATOR)
     )
-    cfg = _pao_config(config) if is_pao else None
+    pop = given.get("pop", BenchmarkSuite.pop)
+    gens = given.get("gens", BenchmarkSuite.gens)
+    seed = given.get("seed", BenchmarkSuite.base_seed)
+    cfg = PaoConfig.from_params({key: given[key] for key in PAO_KEYS if key in given}) if is_pao else None
     records = []
-    for rep in range(reps):
+    for rep in range(given.get("reps", 1)):
         rec = run_one(optimizer, problem, pop, gens, derive_seed(seed, rep), cfg)
         rec.run_id = f"{rec.optimizer}_{problem.name}_{dim}d_r{rep:03d}"
         records.append(rec)
-    if out is not None:
-        write_jsonl(records, out)
+    if "out" in given:
+        write_jsonl(records, given["out"])
     for rec in records:
         print(
             f"{rec.run_id}: final best {rec.final_best():.6e} "
@@ -126,18 +112,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args.config, BENCH_KEYS)
-    suite = standard_suite(
-        args.suite,
-        pop=int(config.get("pop", 100)),
-        gens=int(config.get("gens", 100)),
-        reps=int(_pick(args.reps, config, "reps", 20)),
-        base_seed=int(_pick(args.seed, config, "seed", 0)),
-        optimizers=tuple(_str_list(_pick(args.optimizers, config, "optimizers", OPTIMIZER_IDS))),
-        griewangk_denominator=float(config.get("griewangk_denominator", GRIEWANGK_DENOMINATOR)),
-        pao=_pao_config(config),
-    )
-    summary = run_suite(suite, args.out)
+    given = _given(args, BENCH_KEYS)
+    if "seed" in given:
+        given["base_seed"] = given.pop("seed")
+    pao_params = {key: given.pop(key) for key in PAO_KEYS if key in given}
+    if pao_params:
+        given["pao"] = PaoConfig.from_params(pao_params)
+    summary = run_suite(standard_suite(args.suite, **given), args.out)
     print(format_summary(summary))
     print(f"\nrecords: {args.out}/records.jsonl, summary: {args.out}/summary.json")
     return 0
@@ -154,7 +135,7 @@ def _cmd_plot_data(args) -> int:
 
 def _cmd_kernel_info(args) -> int:
     hp = Hyperparams(
-        m=args.m, zeta=args.zeta, k=_float_list(args.k), q0=args.q0, dt=args.dt
+        m=args.m, zeta=args.zeta, k=_split(args.k), q0=args.q0, dt=args.dt
     )
     kernel = build_kernel(hp)
     moduli = np.abs(np.linalg.eigvals(kernel.a))

@@ -16,7 +16,7 @@ generation's trials and folds them into the best archives.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,6 +88,28 @@ class PaoConfig:
             "bounds_policy": self.bounds_policy,
             "velocity_init": self.velocity_init,
         }
+
+    @classmethod
+    def from_params(cls, params: dict) -> "PaoConfig":
+        """The inverse of :meth:`params_dict`: missing keys take
+        ``PaoConfig()``'s values, and ``k`` defaults to one 1.0 per attractor."""
+        base = cls()
+        unknown = sorted(set(params) - set(base.params_dict()))
+        if unknown:
+            raise ValueError(f"unknown PAO keys {unknown}")
+        for key in ("attractors", "k"):
+            if key in params and not isinstance(params[key], (list, tuple)):
+                raise ValueError(f"PAO key {key!r} must be a list, got {params[key]!r}")
+        specs = base.specs
+        if "attractors" in params:
+            specs = tuple(AttractorSpec.parse(s) for s in params["attractors"])
+        given = {key: float(params[key]) for key in ("m", "zeta", "q0", "dt") if key in params}
+        return cls(
+            hp=replace(base.hp, k=params.get("k", (1.0,) * len(specs)), **given),
+            specs=specs,
+            bounds_policy=params.get("bounds_policy", base.bounds_policy),
+            velocity_init=params.get("velocity_init", base.velocity_init),
+        )
 
 
 def evaluate_population(problem: Problem, positions) -> np.ndarray:
@@ -187,7 +209,7 @@ def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: 
     ``sample_transition`` call at noise variance q0 * nu; that call draws
     one (N, D, 2) block from ``rng``.
     """
-    centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, rng, k=cfg.hp.k))
+    centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, rng), cfg.hp.k)
     nu = noise_scale(swarm) if swarm.nu is None else swarm.nu
 
     # attractors are frozen within the step, so the velocity transforms as-is

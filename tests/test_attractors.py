@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pao.attractors import (
-    AttractorSet,
     AttractorSpec,
     DE_WEIGHT,
     VALID_KINDS,
@@ -92,9 +91,9 @@ class TestRules:
         self.rng = np.random.default_rng(0)
 
     def one(self, kind, **kwargs):
-        aset = compute_attractors(self.swarm, [AttractorSpec(kind, **kwargs)], self.rng)
-        assert aset.alpha.shape == (1, 5, 2)
-        return aset.alpha[0]
+        alpha = compute_attractors(self.swarm, [AttractorSpec(kind, **kwargs)], self.rng)
+        assert alpha.shape == (1, 5, 2)
+        return alpha[0]
 
     def test_globalbest(self):
         np.testing.assert_array_equal(self.one("globalbest"), np.tile([1.0, 2.0], (5, 1)))
@@ -145,8 +144,8 @@ class TestRules:
 
     def test_derand1bin_degenerate_swarm(self):
         swarm = make_swarm(np.tile([2.0, -1.0], (6, 1)))
-        aset = compute_attractors(swarm, [AttractorSpec("derand1bin")], self.rng)
-        np.testing.assert_allclose(aset.alpha[0], np.tile([2.0, -1.0], (6, 1)))
+        alpha = compute_attractors(swarm, [AttractorSpec("derand1bin")], self.rng)
+        np.testing.assert_allclose(alpha[0], np.tile([2.0, -1.0], (6, 1)))
 
     def test_derand1bin_needs_four(self):
         swarm = make_swarm([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -159,26 +158,20 @@ class TestRules:
 
     def test_stochasticgaussian_spread(self):
         swarm = make_swarm(np.zeros((4000, 2)), global_best_pos=[3.0, -1.0])
-        aset = compute_attractors(
+        alpha = compute_attractors(
             swarm, [AttractorSpec("stochasticgaussian", stddev=0.5)], self.rng
         )
-        dev = aset.alpha[0] - [3.0, -1.0]
+        dev = alpha[0] - [3.0, -1.0]
         assert abs(dev.mean()) < 0.02
         assert dev.std() == pytest.approx(0.5, rel=0.05)
 
     def test_multiple_specs_stack(self):
-        aset = compute_attractors(
-            self.swarm,
-            [AttractorSpec("localbest"), AttractorSpec("globalbest")],
-            self.rng,
-            k=(1.0, 3.0),
+        alpha = compute_attractors(
+            self.swarm, [AttractorSpec("localbest"), AttractorSpec("globalbest")], self.rng
         )
-        assert aset.alpha.shape == (2, 5, 2)
-        assert aset.k == (1.0, 3.0)
-
-    def test_k_length_mismatch(self):
-        with pytest.raises(ValueError, match="stiffnesses"):
-            compute_attractors(self.swarm, [AttractorSpec("globalbest")], self.rng, k=(1.0, 2.0))
+        assert alpha.shape == (2, 5, 2)
+        np.testing.assert_array_equal(alpha[0], self.swarm.local_best_pos)
+        np.testing.assert_array_equal(alpha[1], np.tile(self.swarm.global_best_pos, (5, 1)))
 
 
 class TestDonorDraw:
@@ -212,38 +205,36 @@ class TestDonorDraw:
 class TestCentroidAndNoise:
     def test_centroid_equal_weights_is_mean(self):
         alpha = np.array([np.zeros((3, 2)), np.full((3, 2), 4.0)])
-        aset = AttractorSet(alpha=alpha, k=(1.0, 1.0))
-        np.testing.assert_allclose(weighted_centroid(aset), np.full((3, 2), 2.0))
+        np.testing.assert_allclose(weighted_centroid(alpha, (1.0, 1.0)), np.full((3, 2), 2.0))
 
     def test_centroid_weighting(self):
         alpha = np.array([np.zeros((2, 2)), np.full((2, 2), 4.0)])
-        aset = AttractorSet(alpha=alpha, k=(3.0, 1.0))
-        np.testing.assert_allclose(weighted_centroid(aset), np.full((2, 2), 1.0))
+        np.testing.assert_allclose(weighted_centroid(alpha, (3.0, 1.0)), np.full((2, 2), 1.0))
 
     def test_centroid_zero_weight_drops_slice(self):
         alpha = np.array([np.full((2, 2), 7.0), np.full((2, 2), 100.0)])
-        aset = AttractorSet(alpha=alpha, k=(2.0, 0.0))
-        np.testing.assert_allclose(weighted_centroid(aset), np.full((2, 2), 7.0))
+        np.testing.assert_allclose(weighted_centroid(alpha, (2.0, 0.0)), np.full((2, 2), 7.0))
 
     def test_centroid_rejects_zero_total(self):
-        aset = AttractorSet(alpha=np.zeros((1, 2, 2)), k=(0.0,))
-        with pytest.raises(ValueError, match="stiffness"):
-            weighted_centroid(aset)
+        with pytest.raises(ValueError, match="stiffness > 0"):
+            weighted_centroid(np.zeros((1, 2, 2)), (0.0,))
 
     @given(st.integers(0, 2**32 - 1))
     def test_centroid_matches_loop(self, seed):
         rng = np.random.default_rng(seed)
         alpha = rng.normal(size=(3, 4, 2))
         k = tuple(rng.uniform(0.1, 2.0, size=3))
-        aset = AttractorSet(alpha=alpha, k=k)
         ref = sum(k[r] * alpha[r] for r in range(3)) / sum(k)
-        np.testing.assert_allclose(weighted_centroid(aset), ref, atol=1e-12)
+        np.testing.assert_allclose(weighted_centroid(alpha, k), ref, atol=1e-12)
 
-    def test_set_shape_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            AttractorSet(alpha=np.zeros((2, 2)), k=(1.0, 1.0))
-        with pytest.raises(ValueError, match="slices"):
-            AttractorSet(alpha=np.zeros((2, 3, 2)), k=(1.0,))
+    @pytest.mark.parametrize(
+        "shape, k",
+        [((2, 2), (1.0, 1.0)), ((2, 3, 2), (1.0,)), ((1, 3, 2), (1.0, 2.0))],
+        ids=["alpha-not-3d", "more-slices-than-k", "more-k-than-slices"],
+    )
+    def test_centroid_rejects_shape_mismatch(self, shape, k):
+        with pytest.raises(ValueError, match=r"\(r, N, D\) attractors, r stiffnesses"):
+            weighted_centroid(np.zeros(shape), k)
 
     def test_noise_scale_hand_value(self):
         swarm = make_swarm([[0.0, 0.0], [2.0, 4.0]], global_best_pos=[0.0, 0.0])

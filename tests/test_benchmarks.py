@@ -99,6 +99,12 @@ class TestValues:
         f4000 = make_problem("griewangk", 2, griewangk_denominator=4000.0).objective(x)
         assert f400 - f4000 == pytest.approx(0.9, abs=1e-12)  # 400/400 - 400/4000
 
+    @pytest.mark.parametrize("denominator", [-400.0, 0.0, np.nan, np.inf])
+    def test_griewangk_denominator_must_be_positive_and_finite(self, denominator):
+        # a negative one puts values far below the stated optimum of 0
+        with pytest.raises(ValueError, match="griewangk_denominator"):
+            make_problem("griewangk", 2, griewangk_denominator=denominator)
+
     def test_rotated_matches_double_sum(self):
         rng = np.random.default_rng(5)
         p = make_problem("rotatedhyperellipsoid", 6)
@@ -160,6 +166,18 @@ class TestProblemValidation:
                 optimum_pos=np.zeros(2),
                 optimum_val=1.0,  # objective(0) is 0, not 1
                 batch=lambda xs: (xs**2).sum(axis=-1),
+            )
+
+    def test_nan_objective_at_optimum_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            Problem(
+                name="bad",
+                dim=1,
+                lower=np.array([-1.0]),
+                upper=np.array([1.0]),
+                optimum_pos=np.zeros(1),
+                optimum_val=0.0,
+                batch=lambda xs: np.full(len(xs), np.nan),
             )
 
     def test_crossed_bounds_rejected(self):

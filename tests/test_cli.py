@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from pao import cli
 from pao.cli import main
 from pao.engine import PaoConfig
+from pao.harness import standard_suite
 from pao.records import read_jsonl
 
 
@@ -119,6 +121,19 @@ class TestRun:
             main(["run", *flag, "--out", str(out), "--config", str(cfg)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"dim": 2.7}, {"pop": 8.9}, {"gens": True}, {"reps": 1.5}, {"seed": 1.5}, {"k": 2.0}],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_rejects_config_values_of_the_wrong_type(self, tmp_path, bad):
+        # int() would truncate a float and a scalar k is not a list
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pop": 8, "gens": 1, **bad}))
+        key = next(iter(bad))
+        with pytest.raises(ValueError, match=rf"'{key}' must be an? (integer|list)"):
+            main(["run", "--out", str(tmp_path / "out.jsonl"), "--config", str(cfg)])
+
     def test_rejects_non_object_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -150,6 +165,13 @@ class TestBenchAndPlotData:
         assert "ackley_2d.csv" in csvs
         header = (csv_dir / "ackley_2d.csv").read_text().splitlines()[0]
         assert header == "generation,pao,de"
+
+
+    def test_bench_without_sizing_flags_runs_the_standard_suite(self, tmp_path, monkeypatch):
+        suites = []
+        monkeypatch.setattr(cli, "run_suite", lambda suite, out: suites.append(suite) or {"entries": []})
+        assert main(["bench", "--suite", "2d", "--out", str(tmp_path)]) == 0
+        assert suites == [standard_suite("2d")]
 
 
 class TestEntryPoint:

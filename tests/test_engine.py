@@ -22,6 +22,7 @@ from pao.engine import (
 )
 from pao.harness import OPTIMIZER_IDS, run_one
 from pao.kernel import Hyperparams, build_kernel, transition_logpdf
+from pao.records import read_jsonl, write_jsonl
 
 from support import CountingProblem
 
@@ -56,6 +57,21 @@ class TestConfig:
         params = cfg.params_dict()
         assert params["attractors"] == ["globalbest", "stochasticgaussian:0.5"]
         assert params["k"] == [1.0, 0.5]
+
+    def test_from_params_defaults(self):
+        assert PaoConfig.from_params({}) == PaoConfig()
+        one = PaoConfig.from_params({"attractors": ["globalbest"], "zeta": 0.4})
+        assert one.hp == Hyperparams(zeta=0.4, k=(1.0,))
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [({"k": 2.0}, "'k' must be a list"),
+         ({"attractors": "globalbest"}, "'attractors' must be a list"),
+         ({"zeta_": 0.5}, r"unknown PAO keys \['zeta_'\]")],
+    )
+    def test_from_params_rejects(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            PaoConfig.from_params(params)
 
 
 class TestBounds:
@@ -227,7 +243,7 @@ class TestStep:
         kernel = build_kernel(cfg.hp)
         maha = []
         for _ in range(3):
-            centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, None, k=cfg.hp.k))
+            centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, None), cfg.hp.k)
             var = cfg.hp.q0 * noise_scale(swarm)
             log_norm = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(var * kernel.sigma_unit))
             stepped = step_swarm(swarm, kernel, cfg, problem, rng)
@@ -322,6 +338,22 @@ class TestRun:
         assert rec.final_shifted_best() >= 0.0
         for pos in rec.best_pos:
             assert np.all((pos >= problem.lower) & (pos <= problem.upper))
+
+    def test_rerun_from_record_params_is_byte_identical(self, tmp_path):
+        cfg = PaoConfig(
+            hp=Hyperparams(m=1.5, zeta=0.35, k=(1.0, 2.0, 0.5), q0=0.5, dt=0.75),
+            specs=(AttractorSpec("localbest"), AttractorSpec("stochasticgaussian", 0.3),
+                   AttractorSpec("derand1bin")),
+            bounds_policy="reflect",
+            velocity_init="uniform-scaled",
+        )
+        first = tmp_path / "first.jsonl"
+        write_jsonl([run_pao(make_problem("ackley", 3), 12, 10, cfg, seed=3)], first, False)
+        rec = read_jsonl(first)[0]
+        again = run_pao(make_problem(rec.problem, rec.dim), rec.pop, rec.gens,
+                        PaoConfig.from_params(rec.params), rec.seed)
+        write_jsonl([again], tmp_path / "again.jsonl", False)
+        assert (tmp_path / "again.jsonl").read_bytes() == first.read_bytes()
 
     def test_converges_on_sphere(self):
         rec = run_pao(make_problem("dejong", 2), 50, 80, PaoConfig(), seed=4)

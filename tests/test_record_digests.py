@@ -78,3 +78,11 @@ class TestCompare:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_menus_round_trip_through_params():
+    # a PAO record's params rebuild its configuration
+    from pao import PaoConfig
+
+    for cfg in load_script().menus().values():
+        assert PaoConfig.from_params(cfg.params_dict()) == cfg
