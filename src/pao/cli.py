@@ -95,9 +95,12 @@ def _cmd_run(args) -> int:
     pop = given.get("pop", BenchmarkSuite.pop)
     gens = given.get("gens", BenchmarkSuite.gens)
     seed = given.get("seed", BenchmarkSuite.base_seed)
+    reps = given.get("reps", 1)
+    if reps < 1:
+        raise ValueError(f"repetitions must be >= 1, got {reps}")
     cfg = PaoConfig.from_params({key: given[key] for key in PAO_KEYS if key in given}) if is_pao else None
     records = []
-    for rep in range(given.get("reps", 1)):
+    for rep in range(reps):
         rec = run_one(optimizer, problem, pop, gens, derive_seed(seed, rep), cfg)
         rec.run_id = f"{rec.optimizer}_{problem.name}_{dim}d_r{rep:03d}"
         records.append(rec)

@@ -15,11 +15,12 @@ time-stepping error is ever introduced, regardless of ``dt``.
 
 The kernel is precomputed once per optimiser run for unit diffusion; the
 actual per-generation noise variance enters as a scalar multiplier of the
-Cholesky factor ``H`` of ``Sigma``.
+Cholesky factor ``H`` of ``Sigma`` in a draw, and of ``Sigma`` in the density,
+whose unit precision and log-normaliser the kernel holds.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,15 +162,44 @@ class TransitionKernel:
     sigma_unit  process-noise covariance for unit diffusion (q = 1)
     h           lower-triangular Cholesky factor of sigma_unit
 
+    Derived from these once, at construction:
+
+    a_t, h_t    C-contiguous copies of a^T and h^T, the right operands of
+                the stacked product in :func:`sample_transition`
+    degenerate  whether sigma_unit is singular beyond tolerance,
+                det <= (1e-12 max|entry|)^2; scaling by a variance v > 0
+                multiplies both sides by v^2, so the verdict holds for
+                every noise variance
+    precision   (P00, P01, P11), the distinct entries of inv(sigma_unit)
+    log_norm    -log 2 pi - 1/2 log det sigma_unit, the log-normaliser of
+                the unit-diffusion density
+
     Immutable after construction; safe to share across threads.
     """
 
     a: np.ndarray
     sigma_unit: np.ndarray
     h: np.ndarray
+    a_t: np.ndarray = field(init=False, repr=False, compare=False)
+    h_t: np.ndarray = field(init=False, repr=False, compare=False)
+    degenerate: bool = field(init=False, repr=False, compare=False)
+    precision: tuple = field(init=False, repr=False, compare=False)
+    log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.a, self.sigma_unit, self.h):
+        (s00, s01), (s10, s11) = self.sigma_unit.tolist()
+        det = s00 * s11 - s01 * s10
+        degenerate = not ((1e-12 * max(abs(s00), abs(s01), abs(s10), abs(s11))) ** 2 < det < math.inf)
+        derived = dict(
+            a_t=np.ascontiguousarray(self.a.T),
+            h_t=np.ascontiguousarray(self.h.T),
+            degenerate=degenerate,
+            precision=(math.nan,) * 3 if degenerate else (s11 / det, -s01 / det, s00 / det),
+            log_norm=math.nan if degenerate else -math.log(2.0 * math.pi) - 0.5 * math.log(det),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        for arr in (self.a, self.sigma_unit, self.h, self.a_t, self.h_t):
             arr.setflags(write=False)
 
 
@@ -181,10 +211,12 @@ def build_kernel(hp: Hyperparams) -> TransitionKernel:
     return TransitionKernel(a=a, sigma_unit=sigma, h=h)
 
 
-def _matvec(m, x):
-    """m @ s for every state s along the last axis of x.  A stack of states
-    goes through one (M, 2) product, which beats a broadcast 3-D one."""
-    return m @ x if x.ndim == 1 else (x.reshape(-1, x.shape[-1]) @ m.T).reshape(x.shape)
+def _matvec(m, m_t, x):
+    """m @ s for every state s along the last axis of x, with m_t the
+    C-contiguous m^T.  A stack of states goes through one (M, 2) product
+    against m_t, which beats both a broadcast 3-D product and the
+    transposed view m.T."""
+    return m @ x if x.ndim == 1 else (x.reshape(-1, x.shape[-1]) @ m_t).reshape(x.shape)
 
 
 def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -> np.ndarray:
@@ -192,14 +224,16 @@ def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -
 
     Returns x A^T + sqrt(noise_variance) z H^T, with z drawn from ``rng`` in
     one ``standard_normal(x.shape)`` block.  With zero noise variance the
-    draw is skipped entirely and the deterministic map is applied.
+    draw is skipped entirely and the deterministic map is applied.  The
+    variance must be finite and >= 0.
     """
-    if noise_variance < 0:
-        raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
-    mean = _matvec(kernel.a, np.asarray(x, dtype=float))
+    if not (0 <= noise_variance < math.inf):
+        raise ValueError(f"noise variance must be finite and >= 0, got {noise_variance}")
+    mean = _matvec(kernel.a, kernel.a_t, np.asarray(x, dtype=float))
     if noise_variance == 0.0:
         return mean
-    return mean + math.sqrt(noise_variance) * _matvec(kernel.h, rng.standard_normal(mean.shape))
+    z = rng.standard_normal(mean.shape)
+    return mean + math.sqrt(noise_variance) * _matvec(kernel.h, kernel.h_t, z)
 
 
 def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: float) -> float:
@@ -207,18 +241,29 @@ def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: fl
 
     The transition is Gaussian with mean x_from A^T, through the map of
     :func:`sample_transition`, and covariance noise_variance * sigma_unit.
-    Exposed so the optimiser can serve as a proposal inside sequential Monte
-    Carlo schemes.
+    Both states are single (2,) states.  With P and log_norm the kernel's
+    cached unit precision and log-normaliser and r the residual, the density
+    is log_norm - log v - r^T P r / (2 v), so no determinant of v * sigma_unit
+    is formed and any finite v > 0 works.  Raises ``DegenerateCovariance``
+    for v = 0 or a kernel whose sigma_unit is singular beyond tolerance, and
+    ``ValueError`` for a non-finite v or states of another shape.  Exposed
+    so the optimiser can serve as a proposal inside sequential Monte Carlo
+    schemes.
     """
+    if not math.isfinite(noise_variance):
+        raise ValueError(f"noise variance must be finite, got {noise_variance}")
     if noise_variance <= 0:
         raise DegenerateCovariance(
             f"noise variance must be > 0 for a density, got {noise_variance}"
         )
-    cov = noise_variance * kernel.sigma_unit
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    scale = float(np.abs(cov).max())
-    if det <= (1e-12 * scale) ** 2 or not np.isfinite(det):
+    if kernel.degenerate:
         raise DegenerateCovariance("transition covariance is singular beyond tolerance")
-    r = np.asarray(x_to, dtype=float) - _matvec(kernel.a, np.asarray(x_from, dtype=float))
-    maha = (cov[1, 1] * r[0] ** 2 - 2.0 * cov[0, 1] * r[0] * r[1] + cov[0, 0] * r[1] ** 2) / det
-    return float(-np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * maha)
+    x_from, x_to = np.asarray(x_from, dtype=float), np.asarray(x_to, dtype=float)
+    if x_from.shape != (2,) or x_to.shape != (2,):
+        raise ValueError(
+            f"the density takes single (2,) states, got {x_from.shape} and {x_to.shape}"
+        )
+    r0, r1 = (x_to - _matvec(kernel.a, kernel.a_t, x_from)).tolist()
+    p00, p01, p11 = kernel.precision
+    maha = p00 * r0 * r0 + 2.0 * p01 * r0 * r1 + p11 * r1 * r1
+    return kernel.log_norm - math.log(noise_variance) - 0.5 * maha / noise_variance

@@ -134,6 +134,31 @@ class TestRun:
         with pytest.raises(ValueError, match=rf"'{key}' must be an? (integer|list)"):
             main(["run", "--out", str(tmp_path / "out.jsonl"), "--config", str(cfg)])
 
+    @pytest.mark.parametrize("reps", [0, -2])
+    @pytest.mark.parametrize("given_in", ["flag", "config"])
+    def test_rejects_non_positive_reps(self, tmp_path, reps, given_in):
+        # no repetition would run, and --out would get an empty file
+        out = tmp_path / "out.jsonl"
+        argv = ["run", "--pop", "8", "--gens", "1", "--out", str(out)]
+        if given_in == "flag":
+            argv += ["--reps", str(reps)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"reps": reps}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(ValueError, match=rf"repetitions must be >= 1, got {reps}"):
+            main(argv)
+        assert not out.exists()
+
+    def test_non_positive_reps_exits_non_zero(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pao.cli", "run", "--reps", "0", "--pop", "8"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "repetitions must be >= 1, got 0" in proc.stderr
+        assert proc.stdout == ""
+
     def test_rejects_non_object_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

@@ -3,6 +3,7 @@ the Gaussian sampling/density contract."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pao
 from pao.kernel import (
     DegenerateCovariance,
     Hyperparams,
+    _matvec,
     _taylor_expm,
     build_drift_matrix,
     build_kernel,
@@ -339,6 +341,22 @@ class TestKernelAndSampling:
         with pytest.raises(ValueError):
             sample_transition(kernel, np.zeros(2), -1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("var", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(2,), (5, 3, 2)])
+    def test_rejects_non_finite_variance(self, var, shape):
+        # nan and inf used to return all-nan and all-inf states
+        kernel = build_kernel(Hyperparams())
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            sample_transition(kernel, np.ones(shape), var, np.random.default_rng(0))
+
+    def test_stack_product_matches_the_transposed_view(self):
+        # the cached contiguous transposes give the bytes of x @ m.T
+        kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
+        assert kernel.a_t.flags.c_contiguous and kernel.h_t.flags.c_contiguous
+        x = np.random.default_rng(4).standard_normal((300, 2)) * 10.0 ** np.arange(-5, 5, 1 / 30)[:, None]
+        for m, m_t in ((kernel.a, kernel.a_t), (kernel.h, kernel.h_t)):
+            assert _matvec(m, m_t, x).tobytes() == (x @ m.T).tobytes()
+
     def test_sample_moments(self):
         kernel = build_kernel(Hyperparams())
         x = np.array([1.0, 0.5])
@@ -372,3 +390,75 @@ class TestKernelAndSampling:
         kernel = build_kernel(Hyperparams())
         with pytest.raises(DegenerateCovariance):
             transition_logpdf(kernel, np.zeros(2), np.zeros(2), 0.0)
+
+
+def reference_logpdf(kernel, x_from, x_to, var):
+    from scipy.stats import multivariate_normal
+
+    return multivariate_normal(kernel.a @ x_from, var * kernel.sigma_unit).logpdf(x_to)
+
+
+class TestDensity:
+    @pytest.mark.parametrize("m", [0.25, 2.0])
+    @pytest.mark.parametrize("zeta", [0.0, 0.2, 1.5])
+    @pytest.mark.parametrize("k_total", [0.5, 8.0])
+    @pytest.mark.parametrize("dt", [0.1, 1.0, 3.0])
+    def test_matches_scipy_over_a_grid(self, m, zeta, k_total, dt):
+        kernel = build_kernel(Hyperparams(m=m, zeta=zeta, k=(k_total,), dt=dt))
+        rng = np.random.default_rng(11)
+        for var in 10.0 ** np.arange(-6.0, 3.5, 0.5):
+            x = rng.standard_normal(2)
+            y = sample_transition(kernel, x, var, rng)
+            np.testing.assert_allclose(
+                transition_logpdf(kernel, x, y, var), reference_logpdf(kernel, x, y, var), rtol=1e-10
+            )
+
+    def test_caches_precision_and_log_normaliser(self):
+        kernel = build_kernel(Hyperparams())
+        p00, p01, p11 = kernel.precision
+        np.testing.assert_allclose(
+            np.array([[p00, p01], [p01, p11]]) @ kernel.sigma_unit, np.eye(2), rtol=0, atol=1e-14
+        )
+        want = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(kernel.sigma_unit))
+        assert kernel.log_norm == pytest.approx(want, rel=1e-14)
+        assert not kernel.degenerate
+
+    @pytest.mark.parametrize("var", [1e-300, 1e-170, 1e170, 1e300])
+    def test_extreme_variances_give_the_closed_form(self, var):
+        # v^2 det(Sigma) under- or overflows here; the density never forms
+        # it.  From the zero state the move is sqrt(v) H z, whose density is
+        # log_norm - log v - |z|^2 / 2
+        kernel = build_kernel(Hyperparams())
+        z = np.array([0.8, -1.3])
+        x_to = np.sqrt(var) * (kernel.h @ z)
+        want = kernel.log_norm - np.log(var) - 0.5 * z @ z
+        assert transition_logpdf(kernel, np.zeros(2), x_to, var) == pytest.approx(want, rel=1e-14)
+
+    def test_singular_kernel_is_degenerate(self):
+        # Sigma(dt = 1e-13) has det ~ dt^4 / 12 against a scale of dt: singular
+        # beyond the 1e-12 tolerance, whatever the variance
+        kernel = build_kernel(Hyperparams(dt=1e-13))
+        assert kernel.degenerate
+        for var in (1e-6, 1.0, 1e6):
+            with pytest.raises(DegenerateCovariance, match="singular"):
+                transition_logpdf(kernel, np.zeros(2), np.zeros(2), var)
+
+    @pytest.mark.parametrize("var", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_variance(self, var):
+        kernel = build_kernel(Hyperparams())
+        with pytest.raises(ValueError, match="must be finite") as info:
+            transition_logpdf(kernel, np.zeros(2), np.zeros(2), var)
+        assert not isinstance(info.value, DegenerateCovariance)
+
+    def test_negative_variance_is_degenerate(self):
+        kernel = build_kernel(Hyperparams())
+        with pytest.raises(DegenerateCovariance, match="must be > 0"):
+            transition_logpdf(kernel, np.zeros(2), np.zeros(2), -1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (3,), ()])
+    def test_takes_single_states_only(self, shape):
+        kernel = build_kernel(Hyperparams())
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            transition_logpdf(kernel, np.zeros(shape), np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            transition_logpdf(kernel, np.zeros(2), np.zeros(shape), 1.0)
