@@ -5,8 +5,8 @@ The sweep is PSO, QPSO, DE and SADE on the nine problems in 2D and 8D, plus
 PAO with the benchmark's three pao-desk attractor menus (default; derand1bin
 with reflect bounds; stochastic with uniform-scaled velocities), at pop 100
 and 100 generations, for seeds 0 .. N-1.  Each line holds the sha256 of the
-record JSON without ``duration_ms``, followed by the bytes of ``best_pos`` and
-``nu``, and the final ``shifted_best``.
+record JSON without ``duration_ms`` followed by the bytes of ``best_pos``, the
+one field a record keeps in memory only, and the final ``shifted_best``.
 
 Only the public API is used, so the same script can digest another checkout:
 
@@ -63,7 +63,6 @@ def digest(rec) -> str:
 
     h = hashlib.sha256(json.dumps(rec.to_json_dict(include_duration=False)).encode())
     h.update(np.asarray(rec.best_pos, dtype=float).tobytes())
-    h.update(np.asarray(rec.nu, dtype=float).tobytes())
     return h.hexdigest()
 
 

@@ -19,6 +19,16 @@ from .benchmarks import Problem
 from .engine import drive, update_archive
 from .records import RunRecord
 
+# the smallest population each optimiser's move rule can draw its donors from
+MIN_POP = {"de": 4, "sade": 5}
+
+
+def check_pop(optimizer: str, n: int):
+    """Raise unless ``optimizer`` can run with a population of ``n``."""
+    least = MIN_POP.get(optimizer, 1)
+    if n < least:
+        raise ValueError(f"{optimizer} needs a population of at least {least}, got {n}")
+
 
 @dataclass(frozen=True)
 class PsoConfig:
@@ -140,8 +150,7 @@ def _de_trials(problem, swarm, fs, crs, rng, rand1=None):
 
 
 def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(), seed=0) -> RunRecord:
-    if n < 4:
-        raise ValueError(f"de needs a population of at least 4, got {n}")
+    check_pop("de", n)
 
     def move(swarm, rng):
         trials = _de_trials(problem, swarm, cfg.f_de, cfg.cr, rng)
@@ -151,8 +160,7 @@ def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(
 
 
 def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeConfig(), seed=0) -> RunRecord:
-    if n < 5:
-        raise ValueError(f"sade needs a population of at least 5, got {n}")
+    check_pop("sade", n)
     p_rand1 = 0.5
     # successes and failures of (rand/1, current-to-best/2) this learning period
     ns = np.zeros(2)

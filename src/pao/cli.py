@@ -28,7 +28,7 @@ from .harness import (
     emit_plot_data,
     format_summary,
     OPTIMIZER_IDS,
-    run_one,
+    run_cell,
     run_suite,
     standard_suite,
 )
@@ -99,11 +99,7 @@ def _cmd_run(args) -> int:
     if reps < 1:
         raise ValueError(f"repetitions must be >= 1, got {reps}")
     cfg = PaoConfig.from_params({key: given[key] for key in PAO_KEYS if key in given}) if is_pao else None
-    records = []
-    for rep in range(reps):
-        rec = run_one(optimizer, problem, pop, gens, derive_seed(seed, rep), cfg)
-        rec.run_id = f"{rec.optimizer}_{problem.name}_{dim}d_r{rep:03d}"
-        records.append(rec)
+    records = run_cell(optimizer, problem, pop, gens, [derive_seed(seed, rep) for rep in range(reps)], cfg)
     if "out" in given:
         write_jsonl(records, given["out"])
     for rec in records:

@@ -8,7 +8,8 @@ two (N, D) arrays, positions and velocities; the step stacks them into one
 (N, D, 2) state only for its one call to the kernel's sampler,
 ``kernel.sample_transition``.  Given the attractors and before the bounds
 policy, each element's move has the density ``kernel.transition_logpdf``
-reports.
+reports at noise variance q0 * nu; the step computes the noise scale nu from
+the swarm it moves, so no run state carries it.
 
 The run contract every optimiser shares lives here too: ``drive`` seeds,
 starts, moves and logs one run, and ``update_archive`` evaluates each
@@ -16,7 +17,7 @@ generation's trials and folds them into the best archives.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,8 +49,6 @@ class Swarm:
     global_best_pos: np.ndarray
     global_best_fit: float
     generation: int = 0
-    # noise scale of this state, set once per generation by ``drive``
-    nu: float | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,12 @@ def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: 
 
     The centred positions and the velocities are stacked into one (N, D, 2)
     state, the only place that layout exists, which moves through one
-    ``sample_transition`` call at noise variance q0 * nu; that call draws
+    ``sample_transition`` call at noise variance q0 * nu, where nu is
+    ``noise_scale(swarm)``, computed here and nowhere else; that call draws
     one (N, D, 2) block from ``rng``.
     """
     centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, rng), cfg.hp.k)
-    nu = noise_scale(swarm) if swarm.nu is None else swarm.nu
+    nu = noise_scale(swarm)
 
     # attractors are frozen within the step, so the velocity transforms as-is
     state = np.empty(swarm.positions.shape + (2,))
@@ -223,16 +223,15 @@ def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: 
     return update_archive(swarm, pos, vel, problem)[0]
 
 
-def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None, log_nu=False):
+def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None):
     """One optimiser run under the shared contract.
 
     Seeds one generator, starts the population (``start(rng)``, by default
     uniform in the box with zero velocities), then applies ``move(swarm,
     rng)`` ``generations`` times, logging the best-so-far after each
     generation.  Every evaluation goes through :func:`update_archive`, so a
-    run uses exactly n * (generations + 1) of them.  With ``log_nu`` the
-    noise scale of each generation is computed once, logged and left on the
-    swarm for the next move.
+    run uses exactly n * (generations + 1) of them.  Beside the history the
+    record keeps, in memory only, each generation's best position.
     """
     if generations < 0:
         raise ValueError(f"generations must be >= 0, got {generations}")
@@ -265,9 +264,6 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
         )
         # shared, not copied: a new best is always a new array, never written in place
         record.best_pos.append(swarm.global_best_pos)
-        if log_nu:
-            swarm.nu = noise_scale(swarm)
-            record.nu.append(swarm.nu)
     record.duration_ms = (time.perf_counter() - t0) * 1e3
     return record
 
@@ -282,5 +278,4 @@ def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) ->
         "pao", problem, n, generations, seed, cfg.params_dict(),
         move=lambda swarm, rng: step_swarm(swarm, kernel, cfg, problem, rng),
         start=lambda rng: initialize_swarm(problem, n, cfg, rng),
-        log_nu=True,
     )

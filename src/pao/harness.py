@@ -65,9 +65,10 @@ class BenchmarkSuite:
     sade: SadeConfig = SadeConfig()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "problems", tuple((str(n), int(d)) for n, d in self.problems)
-        )
+        # every cell is checked here, before any run: a (problem, dim) that
+        # make_problem rejects, or a population an optimiser cannot run with
+        problems = [make_problem(n, int(d), self.griewangk_denominator) for n, d in self.problems]
+        object.__setattr__(self, "problems", tuple((p.name, p.dim) for p in problems))
         object.__setattr__(
             self, "optimizers", tuple(o.strip().lower() for o in self.optimizers)
         )
@@ -76,6 +77,7 @@ class BenchmarkSuite:
         for opt in self.optimizers:
             if opt not in OPTIMIZER_IDS:
                 raise ValueError(f"unknown optimizer {opt!r}; expected one of {OPTIMIZER_IDS}")
+            baselines.check_pop(opt, self.pop)
 
     def config_for(self, optimizer: str):
         return getattr(self, optimizer)
@@ -99,6 +101,21 @@ def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
     return getattr(module, runner)(problem, n, generations, cfg or config_type(), seed)
 
 
+def run_cell(optimizer: str, problem, n: int, generations: int, seeds, cfg=None) -> list:
+    """One run of one (optimiser, problem) cell per seed, in seed order.
+
+    Each record's run id numbers its repetition:
+    ``<optimizer>_<problem>_<dim>d_r<rep>``.  ``run_one`` is looked up at each
+    run, so one replaced in this module is the one that runs.
+    """
+    records = []
+    for rep, seed in enumerate(seeds):
+        rec = run_one(optimizer, problem, n, generations, seed, cfg)
+        rec.run_id = f"{rec.optimizer}_{problem.name}_{problem.dim}d_r{rep:03d}"
+        records.append(rec)
+    return records
+
+
 def run_suite(suite: BenchmarkSuite, out_path, include_duration: bool = True) -> dict:
     """Execute every (optimiser, problem, repetition) run of the suite.
 
@@ -111,11 +128,8 @@ def run_suite(suite: BenchmarkSuite, out_path, include_duration: bool = True) ->
     for oi, opt in enumerate(suite.optimizers):
         for pi, (name, dim) in enumerate(suite.problems):
             problem = make_problem(name, dim, suite.griewangk_denominator)
-            for rep in range(suite.reps):
-                seed = derive_seed(suite.base_seed, oi, pi, rep)
-                rec = run_one(opt, problem, suite.pop, suite.gens, seed, suite.config_for(opt))
-                rec.run_id = f"{opt}_{name}_{dim}d_r{rep:03d}"
-                records.append(rec)
+            seeds = [derive_seed(suite.base_seed, oi, pi, rep) for rep in range(suite.reps)]
+            records += run_cell(opt, problem, suite.pop, suite.gens, seeds, suite.config_for(opt))
     write_jsonl(records, os.path.join(out_path, "records.jsonl"), include_duration)
     summary = summarize(records)
     with open(os.path.join(out_path, "summary.json"), "w") as fh:

@@ -6,13 +6,19 @@ Serialised schema (one JSON object per line):
     {run_id, optimizer, problem, dim, seed, pop, gens, evals, params,
      history: [{g, best, mean, shifted_best}], duration_ms}
 
-``params`` records the hyperparameters the run actually used.  Extra
-in-memory fields (per-generation best position, noise scale) are not
-serialised.
+``params`` records the hyperparameters the run actually used.
+``SERIALISED_FIELDS`` lists these keys in file order; both directions of the
+round trip are built from it.  The one field kept in memory only is
+``best_pos``, the best position after each generation.
 """
 
 import json
 from dataclasses import dataclass, field
+
+SERIALISED_FIELDS = (
+    "run_id", "optimizer", "problem", "dim", "seed", "pop", "gens", "evals", "params", "history",
+    "duration_ms",
+)
 
 
 @dataclass
@@ -30,7 +36,6 @@ class RunRecord:
     params: dict = field(default_factory=dict)
     # not serialised:
     best_pos: list = field(default_factory=list, repr=False)
-    nu: list = field(default_factory=list, repr=False)
 
     def final_best(self) -> float:
         return self.history[-1]["best"]
@@ -55,21 +60,8 @@ class RunRecord:
                 )
 
     def to_json_dict(self, include_duration: bool = True) -> dict:
-        out = {
-            "run_id": self.run_id,
-            "optimizer": self.optimizer,
-            "problem": self.problem,
-            "dim": self.dim,
-            "seed": self.seed,
-            "pop": self.pop,
-            "gens": self.gens,
-            "evals": self.evals,
-            "params": self.params,
-            "history": self.history,
-        }
-        if include_duration:
-            out["duration_ms"] = self.duration_ms
-        return out
+        skip = () if include_duration else ("duration_ms",)
+        return {key: getattr(self, key) for key in SERIALISED_FIELDS if key not in skip}
 
 
 def history_entry(g: int, best: float, mean: float, shifted_best: float) -> dict:
@@ -85,7 +77,8 @@ def write_jsonl(records, path, include_duration: bool = True):
 
 
 def read_jsonl(path):
-    """Read records written by :func:`write_jsonl`."""
+    """Read records written by :func:`write_jsonl`; a missing ``params`` or
+    ``duration_ms`` takes the field's default."""
     records = []
     with open(path) as fh:
         for line in fh:
@@ -93,19 +86,5 @@ def read_jsonl(path):
             if not line:
                 continue
             obj = json.loads(line)
-            records.append(
-                RunRecord(
-                    run_id=obj["run_id"],
-                    optimizer=obj["optimizer"],
-                    problem=obj["problem"],
-                    dim=obj["dim"],
-                    seed=obj["seed"],
-                    pop=obj["pop"],
-                    gens=obj["gens"],
-                    evals=obj["evals"],
-                    history=obj["history"],
-                    duration_ms=obj.get("duration_ms", 0.0),
-                    params=obj.get("params", {}),
-                )
-            )
+            records.append(RunRecord(**{key: obj[key] for key in SERIALISED_FIELDS if key in obj}))
     return records

@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from pao import cli
+from pao import cli, harness
+from pao.benchmarks import make_problem
 from pao.cli import main
 from pao.engine import PaoConfig
-from pao.harness import standard_suite
+from pao.harness import derive_seed, run_one, standard_suite
 from pao.records import read_jsonl
 
 
@@ -43,6 +44,20 @@ class TestRun:
         for rec in records:
             rec.check()
         assert "final best" in capsys.readouterr().out
+
+    def test_reps_write_the_records_of_single_runs(self, tmp_path):
+        # each repetition is run_one at derive_seed(seed, rep), byte for
+        # byte apart from duration_ms
+        out = tmp_path / "runs.jsonl"
+        main(["run", "--problem", "ackley", "--pop", "8", "--gens", "3", "--reps", "3", "--seed", "7",
+              "--out", str(out)])
+        lines = [re.sub(r', "duration_ms": [^,}]+}$', "}", line) for line in out.read_text().splitlines()]
+        expected = []
+        for rep in range(3):
+            rec = run_one("pao", make_problem("ackley", 2), 8, 3, derive_seed(7, rep))
+            rec.run_id = f"pao_ackley_2d_r{rep:03d}"
+            expected.append(json.dumps(rec.to_json_dict(include_duration=False)))
+        assert lines == expected
 
     def test_defaults_run_pao_on_dejong(self, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -191,6 +206,16 @@ class TestBenchAndPlotData:
         header = (csv_dir / "ackley_2d.csv").read_text().splitlines()[0]
         assert header == "generation,pao,de"
 
+
+    def test_bench_rejects_a_population_sade_cannot_run_before_any_run(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pop": 4}))
+        out = tmp_path / "suite"
+        with pytest.raises(ValueError, match="sade needs a population of at least 5, got 4"):
+            main(["bench", "--suite", "2d", "--out", str(out), "--config", str(cfg)])
+        assert runs == [] and not out.exists()
 
     def test_bench_without_sizing_flags_runs_the_standard_suite(self, tmp_path, monkeypatch):
         suites = []

@@ -273,9 +273,16 @@ class TestRun:
         assert rec.optimizer == "pao"
         assert rec.evals == 15 * 26
         assert len(rec.history) == 26
-        assert len(rec.best_pos) == 26 and len(rec.nu) == 26
+        assert len(rec.best_pos) == 26
         assert rec.history[0]["g"] == 0 and rec.history[-1]["g"] == 25
         assert rec.params["attractors"] == ["localbest", "globalbest"]
+
+    def test_noise_scale_once_per_generation(self, monkeypatch):
+        # the step computes nu from the swarm it moves, and nothing else does
+        seen = []
+        monkeypatch.setattr(engine, "noise_scale", lambda swarm: seen.append(swarm.generation) or noise_scale(swarm))
+        run_pao(make_problem("rastrigin", 2), 10, 7, PaoConfig(), seed=3)
+        assert seen == list(range(7))
 
     def test_bitwise_reproducibility(self):
         problem = make_problem("ackley", 2)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from pao import baselines, engine
+from pao import baselines, engine, harness
 from pao.engine import PaoConfig
 from pao.baselines import DeConfig, PsoConfig
 from pao.benchmarks import make_problem
@@ -18,6 +18,7 @@ from pao.harness import (
     derive_seed,
     emit_plot_data,
     format_summary,
+    run_cell,
     run_one,
     run_suite,
     standard_suite,
@@ -74,6 +75,35 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="repetitions"):
             tiny_suite(reps=0)
 
+    @pytest.mark.parametrize(
+        "problem, error",
+        [(("nope", 2), "unknown problem"), (("rosenbrock", 1), "rosenbrock needs dimension")],
+    )
+    def test_rejects_bad_problem(self, problem, error):
+        with pytest.raises(ValueError, match=error):
+            tiny_suite(problems=(("dejong", 2), problem))
+
+    def test_normalises_problem_names(self, tmp_path):
+        suite = tiny_suite(problems=((" Rastrigin", 2.0),), reps=1, optimizers=("pso",))
+        assert suite.problems == (("rastrigin", 2),)
+        run_suite(suite, tmp_path)
+        rec = read_jsonl(tmp_path / "records.jsonl")[0]
+        assert (rec.run_id, rec.problem) == ("pso_rastrigin_2d_r000", "rastrigin")
+
+    @pytest.mark.parametrize("opt, least", [("de", 4), ("sade", 5)])
+    def test_rejects_population_an_optimizer_cannot_run(self, opt, least):
+        with pytest.raises(ValueError, match=f"{opt} needs a population of at least {least}, got {least - 1}"):
+            tiny_suite(pop=least - 1, optimizers=("pao", "pso", opt))
+        tiny_suite(pop=least, optimizers=("pao", "pso", opt))
+
+    def test_population_floors_are_one_table(self, monkeypatch):
+        # the suite and the runner read the same minimum
+        monkeypatch.setitem(baselines.MIN_POP, "de", 6)
+        with pytest.raises(ValueError, match="at least 6"):
+            tiny_suite(pop=5)
+        with pytest.raises(ValueError, match="at least 6"):
+            run_one("de", make_problem("dejong", 2), 5, 1, seed=0)
+
     def test_config_for(self):
         suite = tiny_suite(de=DeConfig(cr=0.7))
         assert isinstance(suite.config_for("pao"), PaoConfig)
@@ -114,6 +144,34 @@ class TestRunOne:
         assert len(calls) == 1
         assert calls[0][:3] == (problem, 8, 3) and calls[0][4] == 1
         assert isinstance(calls[0][3], config_type)
+
+
+class TestRunCell:
+    def test_one_run_per_seed_in_order(self):
+        problem = make_problem("Ackley", 2)
+        recs = run_cell("de", problem, 8, 3, [5, 9, 5], DeConfig(cr=0.7))
+        assert [r.seed for r in recs] == [5, 9, 5]
+        assert [r.run_id for r in recs] == ["de_ackley_2d_r000", "de_ackley_2d_r001", "de_ackley_2d_r002"]
+        for rec in recs:
+            alone = run_one("de", problem, 8, 3, rec.seed, DeConfig(cr=0.7))
+            alone.run_id = rec.run_id
+            assert alone.to_json_dict(False) == rec.to_json_dict(False)
+
+    def test_run_one_is_looked_up_at_each_run(self, monkeypatch, tmp_path):
+        # a run_one replaced in the harness module, as the benchmark's
+        # per-run clock does, sees every run of a cell and of a suite
+        seeds = []
+        real = harness.run_one
+
+        def counted(optimizer, problem, n, generations, seed, cfg=None):
+            seeds.append(seed)
+            return real(optimizer, problem, n, generations, seed, cfg)
+
+        monkeypatch.setattr(harness, "run_one", counted)
+        assert len(run_cell("pso", make_problem("dejong", 2), 8, 2, [3, 1, 4])) == 3
+        assert seeds == [3, 1, 4]
+        run_suite(tiny_suite(), tmp_path)
+        assert seeds[3:] == [r.seed for r in read_jsonl(tmp_path / "records.jsonl")]
 
 
 class TestRunSuite:
