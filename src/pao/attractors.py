@@ -6,6 +6,12 @@ from a snapshot of the swarm.  All rules are pure functions of that snapshot
 plus an explicit random source.  The stiffnesses are not stored with the
 attractors: ``weighted_centroid`` takes them as a plain sequence, one per
 slice, and ``engine.PaoConfig`` holds them beside the attractor menu.
+
+A generation runs a few dozen NumPy calls on small arrays, so call overhead
+counts: reductions go through the ufunc's ``reduce`` rather than the
+``mean``/``sum``/``min``/``max`` wrappers, which give the same bits at a
+higher cost.  Each reduction over particles runs along axis -2, so it
+carries over to a leading repetition axis.
 """
 
 from dataclasses import dataclass
@@ -72,9 +78,9 @@ def compute_attractors(swarm, specs, rng) -> np.ndarray:
         elif spec.kind == "localbest":
             alpha[s] = swarm.local_best_pos
         elif spec.kind == "averagelocalbest":
-            alpha[s] = swarm.local_best_pos.mean(axis=0)
+            alpha[s] = particle_mean(swarm.local_best_pos)
         elif spec.kind == "averageparticle":
-            alpha[s] = positions.mean(axis=0)
+            alpha[s] = particle_mean(positions)
         elif spec.kind == "weightedaverageparticle":
             alpha[s] = _fitness_weighted_mean(positions, swarm.fitness)
         elif spec.kind == "derand1bin":
@@ -84,12 +90,18 @@ def compute_attractors(swarm, specs, rng) -> np.ndarray:
     return alpha
 
 
+def particle_mean(x) -> np.ndarray:
+    """Mean over the particle axis (-2); bit for bit ``x.mean(axis=-2)``,
+    which is this sum followed by a true divide by the count."""
+    return np.add.reduce(x, axis=-2) / x.shape[-2]
+
+
 def _fitness_weighted_mean(positions, fitness):
     # softmax of negative min-max-normalised fitness: scale-free and
     # minimisation-consistent, no division by possibly-zero raw fitness
-    lo, hi = fitness.min(), fitness.max()
+    lo, hi = np.minimum.reduce(fitness), np.maximum.reduce(fitness)
     w = np.exp(-(fitness - lo) / (hi - lo + 1e-12))
-    w /= w.sum()
+    w /= np.add.reduce(w)
     return w @ positions
 
 
@@ -107,13 +119,16 @@ def draw_donors(n, size, rng):
     """(n, size) donor indices shared by the DE attractor and the DE/SADE
     baselines: row i holds ``size`` distinct indices from range(n) without i
     (n > size), each pick uniform over the indices not yet taken."""
-    taken = np.arange(n)[:, None]
+    taken = np.empty((n, size + 1), dtype=np.int64)
+    taken[:, 0] = np.arange(n)
     for t in range(size):
-        # one of the n - 1 - t free slots, stepped past the taken indices in ascending order
+        # one of the n - 1 - t free slots, stepped past the taken indices in
+        # ascending order (a single taken index needs no sort)
         pick = rng.integers(n - 1 - t, size=n)
-        for excluded in np.sort(taken, axis=1).T:
-            pick += pick >= excluded
-        taken = np.column_stack((taken, pick))
+        excluded = np.sort(taken[:, : t + 1], axis=1) if t else taken[:, :1]
+        for column in excluded.T:
+            pick += pick >= column
+        taken[:, t + 1] = pick
     return taken[:, 1:]
 
 
@@ -121,12 +136,15 @@ def weighted_centroid(alpha, k) -> np.ndarray:
     """Stiffness-weighted mean attractor, (N, D): (1/k') sum_r k_r alpha_r,
     for (r, N, D) attractors ``alpha`` and r stiffnesses ``k``."""
     k = np.asarray(k, dtype=float)
-    if alpha.ndim != 3 or k.shape != alpha.shape[:1] or not (k.sum() > 0):
+    total = np.add.reduce(k)
+    if alpha.ndim != 3 or k.shape != alpha.shape[:1] or not (total > 0):
         raise ValueError(
             f"need (r, N, D) attractors, r stiffnesses and a total stiffness > 0; "
             f"got alpha of shape {alpha.shape} and k = {k.tolist()}"
         )
-    return np.tensordot(k, alpha, axes=(0, 0)) / k.sum()
+    # the (1, r) x (r, N*D) product np.tensordot(k, alpha, axes=(0, 0)) makes,
+    # without its argument handling
+    return np.dot(k[None, :], alpha.reshape(k.shape[0], -1)).reshape(alpha.shape[1:]) / total
 
 
 def noise_scale(swarm) -> float:
@@ -136,5 +154,5 @@ def noise_scale(swarm) -> float:
     collapses onto its best point, so the injected noise dies out with
     convergence.
     """
-    diff = swarm.positions.mean(axis=0) - swarm.global_best_pos
+    diff = particle_mean(swarm.positions) - swarm.global_best_pos
     return float(diff @ diff)

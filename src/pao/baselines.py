@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attractors import draw_donors
+from .attractors import draw_donors, particle_mean
 from .benchmarks import Problem
 from .engine import drive, update_archive
 from .records import RunRecord
@@ -118,7 +118,7 @@ def run_qpso(problem: Problem, n: int, generations: int, cfg: QpsoConfig = QpsoC
     def move(swarm, rng):
         alpha = _schedule(cfg.alpha_start, cfg.alpha_end, swarm, generations)
         pos, pbest = swarm.positions, swarm.local_best_pos
-        mbest = pbest.mean(axis=0)
+        mbest = particle_mean(pbest)
         phi = rng.uniform(size=pos.shape)
         attract = phi * pbest + (1.0 - phi) * swarm.global_best_pos
         u = np.maximum(rng.uniform(size=pos.shape), 1e-300)
@@ -174,8 +174,8 @@ def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeC
         trials = _de_trials(problem, swarm, fs, crs, rng, use_rand1)
         swarm, take = update_archive(swarm, trials, swarm.velocities, problem, greedy=True)
         for s, used in enumerate((use_rand1, ~use_rand1)):
-            ns[s] += np.sum(take & used)
-            nf[s] += np.sum(~take & used)
+            ns[s] += np.count_nonzero(take & used)
+            nf[s] += np.count_nonzero(~take & used)
         if swarm.generation % cfg.learning_period == 0:
             denom = ns[0] * (ns[1] + nf[1]) + ns[1] * (ns[0] + nf[0])
             if denom > 0:

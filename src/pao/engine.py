@@ -13,7 +13,10 @@ the swarm it moves, so no run state carries it.
 
 The run contract every optimiser shares lives here too: ``drive`` seeds,
 starts, moves and logs one run, and ``update_archive`` evaluates each
-generation's trials and folds them into the best archives.
+generation's trials and folds them into the best archives.  A trial outside
+the problem's box never enters an archive; clipping and reflecting keep
+every trial inside it, so only the PAO step under ``bounds_policy="none"``
+asks ``update_archive`` to test the trials against the box.
 """
 
 import time
@@ -114,10 +117,12 @@ class PaoConfig:
 def evaluate_population(problem: Problem, positions) -> np.ndarray:
     """Batch-evaluate the objective, rejecting non-finite fitness."""
     fit = np.asarray(problem.evaluate(positions), dtype=float)
-    if not np.all(np.isfinite(fit)):
-        bad = positions[~np.isfinite(fit)][0]
+    # ndarray.all, not the slower np.all wrapper; testing the sum first would
+    # save another microsecond but warns of overflow on large finite values
+    finite = np.isfinite(fit)
+    if not finite.all():
         raise ObjectiveEvaluationError(
-            f"objective {problem.name!r} returned a non-finite value at {bad}"
+            f"objective {problem.name!r} returned a non-finite value at {positions[~finite][0]}"
         )
     return fit
 
@@ -129,11 +134,13 @@ def apply_bounds(pos, vel, lower, upper, policy):
     if policy == "clip":
         return np.clip(pos, lower, upper), vel
     # reflect: fold the position back into the box, negate the velocity of
-    # every component that left it
+    # every component that left it.  The rounded fold never falls below
+    # lower but can pass upper by an ulp (lower -1, upper 1.5 * 2**-53),
+    # hence the minimum.
     out = (pos < lower) | (pos > upper)
     span = upper - lower
     y = np.mod(pos - lower, 2.0 * span)
-    folded = lower + np.where(y <= span, y, 2.0 * span - y)
+    folded = np.minimum(lower + np.where(y <= span, y, 2.0 * span - y), upper)
     return np.where(out, folded, pos), np.where(out, -vel, vel)
 
 
@@ -165,18 +172,24 @@ def initialize_swarm(problem: Problem, n: int, cfg: PaoConfig, rng) -> Swarm:
     return _start_swarm(problem, n, rng, v_half)
 
 
-def update_archive(swarm: Swarm, pos, vel, problem: Problem, greedy: bool = False):
+def update_archive(
+    swarm: Swarm, pos, vel, problem: Problem, greedy: bool = False, may_leave_box: bool = False
+):
     """Evaluate the trial positions and fold them into the best archives.
 
     A trial improves its particle's personal best only if its fitness is
-    lower and it lies inside the problem's box.  With ``greedy`` (DE
-    selection) the improving trials replace their parents and the others
-    are discarded, so the population is its own archive.  Returns the next
-    generation's Swarm and the improvement mask.
+    lower and it lies inside the problem's box.  Only a caller whose trials
+    can lie outside the box passes ``may_leave_box``, and only then is each
+    trial tested against it: the PAO step under ``bounds_policy="none"``.
+    Every other move clips or reflects its trials into the box.  With
+    ``greedy`` (DE selection) the improving trials replace their parents
+    and the others are discarded, so the population is its own archive.
+    Returns the next generation's Swarm and the improvement mask.
     """
     fitness = evaluate_population(problem, pos)
-    inside = np.all((pos >= problem.lower) & (pos <= problem.upper), axis=1)
-    improved = (fitness < swarm.local_best_fit) & inside
+    improved = fitness < swarm.local_best_fit
+    if may_leave_box:
+        improved &= np.all((pos >= problem.lower) & (pos <= problem.upper), axis=-1)
     local_best_pos = np.where(improved[:, None], pos, swarm.local_best_pos)
     local_best_fit = np.where(improved, fitness, swarm.local_best_fit)
     best = int(np.argmin(local_best_fit))
@@ -220,7 +233,7 @@ def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: 
     pos, vel = apply_bounds(
         state[..., 0] + centroid, state[..., 1], problem.lower, problem.upper, cfg.bounds_policy
     )
-    return update_archive(swarm, pos, vel, problem)[0]
+    return update_archive(swarm, pos, vel, problem, may_leave_box=cfg.bounds_policy == "none")[0]
 
 
 def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None):
@@ -258,7 +271,8 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
             history_entry(
                 g=swarm.generation,
                 best=best,
-                mean=float(swarm.fitness.mean()),
+                # bit for bit swarm.fitness.mean(), without the wrapper's overhead
+                mean=float(np.add.reduce(swarm.fitness, axis=-1) / n),
                 shifted_best=shift_to_zero(problem, best),
             )
         )

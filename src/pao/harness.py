@@ -67,7 +67,7 @@ class BenchmarkSuite:
     def __post_init__(self):
         # every cell is checked here, before any run: a (problem, dim) that
         # make_problem rejects, or a population an optimiser cannot run with
-        problems = [make_problem(n, int(d), self.griewangk_denominator) for n, d in self.problems]
+        problems = [make_problem(n, _dimension(n, d), self.griewangk_denominator) for n, d in self.problems]
         object.__setattr__(self, "problems", tuple((p.name, p.dim) for p in problems))
         object.__setattr__(
             self, "optimizers", tuple(o.strip().lower() for o in self.optimizers)
@@ -81,6 +81,17 @@ class BenchmarkSuite:
 
     def config_for(self, optimizer: str):
         return getattr(self, optimizer)
+
+
+def _dimension(name, dim) -> int:
+    """``dim`` as an int; an integral float such as 2.0 passes, 2.7 does not."""
+    try:
+        integral = int(dim) == dim
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"problem ({name!r}, {dim!r}): the dimension must be an integer")
+    return int(dim)
 
 
 def standard_suite(which: str, **overrides) -> BenchmarkSuite:

@@ -232,8 +232,10 @@ def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -
     mean = _matvec(kernel.a, kernel.a_t, np.asarray(x, dtype=float))
     if noise_variance == 0.0:
         return mean
-    z = rng.standard_normal(mean.shape)
-    return mean + math.sqrt(noise_variance) * _matvec(kernel.h, kernel.h_t, z)
+    noise = _matvec(kernel.h, kernel.h_t, rng.standard_normal(mean.shape))
+    noise *= math.sqrt(noise_variance)
+    noise += mean
+    return noise
 
 
 def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: float) -> float:

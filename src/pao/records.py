@@ -13,7 +13,7 @@ round trip are built from it.  The one field kept in memory only is
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 SERIALISED_FIELDS = (
     "run_id", "optimizer", "problem", "dim", "seed", "pop", "gens", "evals", "params", "history",
@@ -64,6 +64,14 @@ class RunRecord:
         return {key: getattr(self, key) for key in SERIALISED_FIELDS if key not in skip}
 
 
+# the serialised fields without a default: a line must give each of them
+_REQUIRED_FIELDS = tuple(
+    f.name
+    for f in fields(RunRecord)
+    if f.name in SERIALISED_FIELDS and f.default is MISSING and f.default_factory is MISSING
+)
+
+
 def history_entry(g: int, best: float, mean: float, shifted_best: float) -> dict:
     return {"g": g, "best": best, "mean": mean, "shifted_best": shifted_best}
 
@@ -78,13 +86,17 @@ def write_jsonl(records, path, include_duration: bool = True):
 
 def read_jsonl(path):
     """Read records written by :func:`write_jsonl`; a missing ``params`` or
-    ``duration_ms`` takes the field's default."""
+    ``duration_ms`` takes the field's default, and a line missing any other
+    field raises ``ValueError`` naming the file, the line and the keys."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
+            missing = [key for key in _REQUIRED_FIELDS if key not in obj]
+            if missing:
+                raise ValueError(f"{path}, line {lineno}: record lacks the keys {missing}")
             records.append(RunRecord(**{key: obj[key] for key in SERIALISED_FIELDS if key in obj}))
     return records

@@ -14,6 +14,7 @@ from pao.attractors import (
     compute_attractors,
     draw_donors,
     noise_scale,
+    particle_mean,
     weighted_centroid,
 )
 
@@ -34,6 +35,18 @@ def make_swarm(positions, fitness=None, local_best_pos=None, global_best_pos=Non
         local_best_pos=np.asarray(local_best_pos, dtype=float),
         global_best_pos=np.asarray(global_best_pos, dtype=float),
     )
+
+
+def reference_draw_donors(n, size, rng):
+    """The donor draw with a growing column stack and a sort of every taken
+    set, the form the preallocated one must reproduce index for index."""
+    taken = np.arange(n)[:, None]
+    for t in range(size):
+        pick = rng.integers(n - 1 - t, size=n)
+        for excluded in np.sort(taken, axis=1).T:
+            pick += pick >= excluded
+        taken = np.column_stack((taken, pick))
+    return taken[:, 1:]
 
 
 class TestSpec:
@@ -191,6 +204,20 @@ class TestDonorDraw:
             for i, row in enumerate(draw_donors(n, size, rng)):
                 assert sorted(row) == [j for j in range(n) if j != i]
 
+    @pytest.mark.parametrize("n", [4, 5, 20, 100])
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_matches_reference_draw(self, n, size):
+        for seed in range(6):
+            if n <= size:  # no size distinct others exist: both reject it
+                for draw in (draw_donors, reference_draw_donors):
+                    with pytest.raises(ValueError):
+                        draw(n, size, np.random.default_rng(seed))
+                continue
+            got = draw_donors(n, size, np.random.default_rng(seed))
+            want = reference_draw_donors(n, size, np.random.default_rng(seed))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_ordered_triples_are_uniform(self):
         # chi-squared over the 24 ordered triples of each row at n = 5; 49.73
         # is the 0.999 quantile of chi2 with 23 degrees of freedom
@@ -227,6 +254,15 @@ class TestCentroidAndNoise:
         ref = sum(k[r] * alpha[r] for r in range(3)) / sum(k)
         np.testing.assert_allclose(weighted_centroid(alpha, k), ref, atol=1e-12)
 
+    @given(st.integers(1, 4), st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_centroid_bits_match_tensordot(self, r, n, d, seed):
+        rng = np.random.default_rng(seed)
+        alpha = rng.normal(scale=rng.uniform(0.1, 1e3), size=(r, n, d))
+        k = rng.uniform(0.05, 4.0, size=r)
+        want = np.tensordot(k, alpha, axes=(0, 0)) / k.sum()
+        got = weighted_centroid(alpha, tuple(k))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "shape, k",
         [((2, 2), (1.0, 1.0)), ((2, 3, 2), (1.0,)), ((1, 3, 2), (1.0, 2.0))],
@@ -235,6 +271,20 @@ class TestCentroidAndNoise:
     def test_centroid_rejects_shape_mismatch(self, shape, k):
         with pytest.raises(ValueError, match=r"\(r, N, D\) attractors, r stiffnesses"):
             weighted_centroid(np.zeros(shape), k)
+
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_noise_scale_bits_match_mean_formula(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        swarm = make_swarm(rng.normal(scale=rng.uniform(0.1, 1e3), size=(n, d)))
+        diff = swarm.positions.mean(axis=0) - swarm.global_best_pos
+        assert np.float64(noise_scale(swarm)).tobytes() == np.float64(diff @ diff).tobytes()
+
+    @given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_particle_mean_bits_match_mean(self, r, n, d, seed):
+        # the (N, D) swarm and a stack of r of them
+        x = np.random.default_rng(seed).normal(scale=50.0, size=(r, n, d))
+        for arr in (x[0], x):
+            assert particle_mean(arr).tobytes() == arr.mean(axis=-2).tobytes()
 
     def test_noise_scale_hand_value(self):
         swarm = make_swarm([[0.0, 0.0], [2.0, 4.0]], global_best_pos=[0.0, 0.0])

@@ -1,6 +1,7 @@
 """Optimiser engine tests: bounds policies, swarm initialisation, the
 generation step contract and end-to-end run reproducibility."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,13 @@ from pao.benchmarks import make_problem
 from pao.engine import (
     ObjectiveEvaluationError,
     PaoConfig,
+    Swarm,
     apply_bounds,
     evaluate_population,
     initialize_swarm,
     run_pao,
     step_swarm,
+    update_archive,
 )
 from pao.harness import OPTIMIZER_IDS, run_one
 from pao.kernel import Hyperparams, build_kernel, transition_logpdf
@@ -116,6 +119,14 @@ class TestBounds:
         assert np.all(p >= self.lower - 1e-12)
         assert np.all(p <= self.upper + 1e-12)
 
+    def test_reflect_lands_inside_where_the_rounded_fold_overshoots(self):
+        # lower + (pos - lower) rounds to 2**-52, one ulp above this upper
+        lower, upper = np.array([-1.0]), np.array([1.5 * 2.0**-53])
+        pos = np.array([[2.0**-52]])
+        p, v = apply_bounds(pos, np.ones_like(pos), lower, upper, "reflect")
+        assert lower[0] <= p[0, 0] <= upper[0]
+        np.testing.assert_array_equal(v, [[-1.0]])
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_reflect_velocity_sign(self, seed):
@@ -161,6 +172,60 @@ class TestEvaluatePopulation:
         bad.evaluate = lambda xs: np.full(np.asarray(xs).shape[0], np.nan)
         with pytest.raises(ObjectiveEvaluationError, match="non-finite"):
             evaluate_population(bad, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_names_the_first_non_finite_point(self, value, row):
+        positions = np.arange(10.0).reshape(5, 2)
+        fit = np.arange(5.0)
+        fit[row] = value
+        fit[4] = np.nan  # a later bad point must not be the one named
+        bad = CountingProblem(make_problem("dejong", 2))
+        bad.evaluate = lambda xs: fit
+        with pytest.raises(ObjectiveEvaluationError, match=re.escape(str(positions[row]))):
+            evaluate_population(bad, positions)
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        big = CountingProblem(make_problem("dejong", 2))
+        big.evaluate = lambda xs: np.array([1e308, 1e308])
+        np.testing.assert_array_equal(evaluate_population(big, np.zeros((2, 2))), [1e308, 1e308])
+
+
+class TestUpdateArchive:
+    def swarm(self):
+        far = np.full(2, 1e9)
+        return Swarm(
+            positions=np.zeros((2, 2)), velocities=np.zeros((2, 2)), fitness=far,
+            local_best_pos=np.zeros((2, 2)), local_best_fit=far,
+            global_best_pos=np.zeros(2), global_best_fit=1e9,
+        )
+
+    def test_box_test_keeps_out_of_box_trials_out(self):
+        # dejong's box is +-5.12: trial 0 lies outside it yet improves on 1e9
+        problem = make_problem("dejong", 2)
+        trials = np.array([[6.0, 0.0], [1.0, 1.0]])
+        out, improved = update_archive(self.swarm(), trials, np.zeros((2, 2)), problem, may_leave_box=True)
+        np.testing.assert_array_equal(improved, [False, True])
+        np.testing.assert_array_equal(out.local_best_pos, [[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(out.local_best_fit, [1e9, 2.0])
+        assert out.global_best_fit == 2.0
+        np.testing.assert_array_equal(out.global_best_pos, [1.0, 1.0])
+        # a caller that does not ask for the test gets none
+        _, improved = update_archive(self.swarm(), trials, np.zeros((2, 2)), problem)
+        np.testing.assert_array_equal(improved, [True, True])
+
+    @pytest.mark.parametrize("policy, asked", [("none", True), ("clip", False), ("reflect", False)])
+    def test_step_asks_for_the_box_test_only_without_bounds(self, monkeypatch, policy, asked):
+        seen = []
+        archive = engine.update_archive
+
+        def watched(*args, **kwargs):
+            seen.append(kwargs.get("may_leave_box", False))
+            return archive(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "update_archive", watched)
+        run_pao(make_problem("rastrigin", 2), 8, 3, PaoConfig(bounds_policy=policy), seed=0)
+        assert seen == [asked] * 3
 
 
 class TestStep:

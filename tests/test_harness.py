@@ -3,6 +3,7 @@ data emission on miniaturised suites."""
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ class TestSuiteConfig:
     def test_rejects_bad_problem(self, problem, error):
         with pytest.raises(ValueError, match=error):
             tiny_suite(problems=(("dejong", 2), problem))
+
+    @pytest.mark.parametrize("dim", [2.7, -0.5, float("nan"), float("inf"), "2", None])
+    def test_rejects_non_integral_dimension(self, dim):
+        with pytest.raises(ValueError, match=re.escape(f"problem ('dejong', {dim!r}): the dimension must be an integer")):
+            tiny_suite(problems=(("rastrigin", 2), ("dejong", dim)))
+
+    @pytest.mark.parametrize("dim", [3, np.int64(3), np.int32(3), np.uint8(3), 3.0])
+    def test_accepts_integral_dimension(self, dim):
+        ((_, got),) = tiny_suite(problems=(("dejong", dim),)).problems
+        assert got == 3 and type(got) is int
 
     def test_normalises_problem_names(self, tmp_path):
         suite = tiny_suite(problems=((" Rastrigin", 2.0),), reps=1, optimizers=("pso",))

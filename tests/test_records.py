@@ -91,3 +91,22 @@ class TestJsonl:
         write_jsonl([make_record()], path)
         path.write_text(path.read_text() + "\n\n")
         assert len(read_jsonl(path)) == 1
+
+    def test_read_names_file_line_and_missing_keys(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_jsonl([make_record()], path)
+        path.write_text(path.read_text() + "\n" + json.dumps({"optimizer": "x", "params": {}}) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_jsonl(path)
+        assert str(err.value) == (
+            f"{path}, line 3: record lacks the keys "
+            "['run_id', 'problem', 'dim', 'seed', 'pop', 'gens', 'evals', 'history']"
+        )
+
+    def test_read_defaults_params_and_duration(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        obj = make_record().to_json_dict(include_duration=False)
+        del obj["params"]
+        path.write_text(json.dumps(obj) + "\n")
+        (rec,) = read_jsonl(path)
+        assert (rec.params, rec.duration_ms) == ({}, 0.0)
