@@ -15,6 +15,7 @@ import time
 from pao.harness import (
     aggregate_convergence,
     BenchmarkSuite,
+    cell_processes,
     emit_plot_data,
     format_summary,
     run_suite,
@@ -45,14 +46,15 @@ def main(argv=None) -> int:
         overrides["optimizers"] = tuple(s.strip() for s in args.optimizers.split(","))
     suite = standard_suite(args.suite, **overrides)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     summary = run_suite(suite, args.out)
     records = read_jsonl(os.path.join(args.out, "records.jsonl"))
     plot_dir = os.path.join(args.out, "plots")
     paths = emit_plot_data(aggregate_convergence(records), plot_dir)
 
     print(format_summary(summary))
-    print(f"{len(records)} runs in {time.time() - t0:.1f}s -> {args.out}")
+    processes = cell_processes(len(suite.optimizers) * len(suite.problems))
+    print(f"{len(records)} runs in {time.perf_counter() - t0:.1f}s on {processes} process(es) -> {args.out}")
     print(f"plot data: {len(paths)} CSVs under {plot_dir}")
     return 0
 

@@ -72,6 +72,11 @@ class BenchmarkSuite:
         object.__setattr__(
             self, "optimizers", tuple(o.strip().lower() for o in self.optimizers)
         )
+        # a repeated cell would write runs under the ids of the first one
+        for what, items in (("optimizer", self.optimizers), ("problem", self.problems)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ValueError(f"duplicate {what} {item!r} in the suite")
         if self.reps < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.reps}")
         for opt in self.optimizers:
@@ -127,20 +132,64 @@ def run_cell(optimizer: str, problem, n: int, generations: int, seeds, cfg=None)
     return records
 
 
+def cell_processes(n_cells: int) -> int:
+    """How many processes ``run_suite`` runs ``n_cells`` cells on.
+
+    One per CPU this process may run on, at most one per cell; 1 (the cells
+    run in this process) where ``fork`` is unavailable.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, n_cells))
+
+
+def _run_job(job) -> list:
+    """``run_cell`` on one suite cell, described by plain values.
+
+    The problem is built here because a Griewangk objective is a closure,
+    which does not pickle.
+    """
+    optimizer, name, dim, griewangk_denominator, pop, gens, seeds, cfg = job
+    return run_cell(optimizer, make_problem(name, dim, griewangk_denominator), pop, gens, seeds, cfg)
+
+
 def run_suite(suite: BenchmarkSuite, out_path, include_duration: bool = True) -> dict:
     """Execute every (optimiser, problem, repetition) run of the suite.
 
     Writes ``records.jsonl`` and ``summary.json`` under ``out_path`` and
-    returns the summary.  Runs are sequential here; the derived seeds make
-    them independently re-runnable (and embarrassingly parallel elsewhere).
+    returns the summary.  Each (optimiser, problem) cell is one ``run_cell``
+    call.  The cells run on ``cell_processes`` forked workers (in this
+    process when that is 1, as under ``taskset -c 0``); the derived seeds
+    make the records the same either way, and in cell order.  A forked
+    worker inherits the imported package and any ``run_one`` replaced in
+    this module.  ``duration_ms`` is each run's wall time in its worker.
     """
     os.makedirs(out_path, exist_ok=True)
-    records = []
-    for oi, opt in enumerate(suite.optimizers):
-        for pi, (name, dim) in enumerate(suite.problems):
-            problem = make_problem(name, dim, suite.griewangk_denominator)
-            seeds = [derive_seed(suite.base_seed, oi, pi, rep) for rep in range(suite.reps)]
-            records += run_cell(opt, problem, suite.pop, suite.gens, seeds, suite.config_for(opt))
+    jobs = [
+        (opt, name, dim, suite.griewangk_denominator, suite.pop, suite.gens,
+         [derive_seed(suite.base_seed, oi, pi, rep) for rep in range(suite.reps)], suite.config_for(opt))
+        for oi, opt in enumerate(suite.optimizers)
+        for pi, (name, dim) in enumerate(suite.problems)
+    ]
+    processes = cell_processes(len(jobs))
+    if processes == 1:
+        cells = [_run_job(job) for job in jobs]
+    else:
+        # imported here, so `import pao` does not load it
+        import multiprocessing
+
+        pool = multiprocessing.get_context("fork").Pool(processes)
+        try:
+            cells = pool.map(_run_job, jobs, chunksize=1)
+        except BaseException:
+            pool.terminate()
+            raise
+        else:
+            pool.close()
+        finally:
+            pool.join()
+    records = [rec for cell in cells for rec in cell]
     write_jsonl(records, os.path.join(out_path, "records.jsonl"), include_duration)
     summary = summarize(records)
     with open(os.path.join(out_path, "summary.json"), "w") as fh:

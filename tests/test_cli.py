@@ -217,6 +217,14 @@ class TestBenchAndPlotData:
             main(["bench", "--suite", "2d", "--out", str(out), "--config", str(cfg)])
         assert runs == [] and not out.exists()
 
+    def test_bench_rejects_a_repeated_optimizer_before_any_run(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))
+        out = tmp_path / "suite"
+        with pytest.raises(ValueError, match="duplicate optimizer 'pso'"):
+            main(["bench", "--suite", "2d", "--optimizers", "pso,pso", "--out", str(out)])
+        assert runs == [] and not out.exists()
+
     def test_bench_without_sizing_flags_runs_the_standard_suite(self, tmp_path, monkeypatch):
         suites = []
         monkeypatch.setattr(cli, "run_suite", lambda suite, out: suites.append(suite) or {"entries": []})

@@ -2,14 +2,18 @@
 data emission on miniaturised suites."""
 
 import json
+import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from pao import baselines, engine, harness
-from pao.engine import PaoConfig
+from pao.engine import ObjectiveEvaluationError, PaoConfig
 from pao.baselines import DeConfig, PsoConfig
 from pao.benchmarks import make_problem
 from pao.harness import (
@@ -115,6 +119,20 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="at least 6"):
             run_one("de", make_problem("dejong", 2), 5, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            (dict(optimizers=("pso", " PSO")), "duplicate optimizer 'pso'"),
+            (dict(problems=(("dejong", 2), ("rastrigin", 2), ("DeJong", 2.0))), "duplicate problem ('dejong', 2)"),
+        ],
+    )
+    def test_rejects_a_repeated_cell(self, overrides, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            tiny_suite(**overrides)
+
+    def test_same_problem_in_two_dimensions_is_two_cells(self):
+        assert tiny_suite(problems=(("dejong", 2), ("dejong", 3))).problems == (("dejong", 2), ("dejong", 3))
+
     def test_config_for(self):
         suite = tiny_suite(de=DeConfig(cr=0.7))
         assert isinstance(suite.config_for("pao"), PaoConfig)
@@ -170,7 +188,9 @@ class TestRunCell:
 
     def test_run_one_is_looked_up_at_each_run(self, monkeypatch, tmp_path):
         # a run_one replaced in the harness module, as the benchmark's
-        # per-run clock does, sees every run of a cell and of a suite
+        # per-run clock does, sees every run of a cell and of a suite; a
+        # suite's runs may happen in worker processes, so the suite half
+        # counts them in a file
         seeds = []
         real = harness.run_one
 
@@ -181,8 +201,24 @@ class TestRunCell:
         monkeypatch.setattr(harness, "run_one", counted)
         assert len(run_cell("pso", make_problem("dejong", 2), 8, 2, [3, 1, 4])) == 3
         assert seeds == [3, 1, 4]
-        run_suite(tiny_suite(), tmp_path)
-        assert seeds[3:] == [r.seed for r in read_jsonl(tmp_path / "records.jsonl")]
+
+        log = tmp_path / "seeds.txt"
+
+        def logged(optimizer, problem, n, generations, seed, cfg=None):
+            with open(log, "a") as fh:
+                fh.write(f"{seed}\n")
+            return real(optimizer, problem, n, generations, seed, cfg)
+
+        monkeypatch.setattr(harness, "run_one", logged)
+        run_suite(tiny_suite(reps=3), tmp_path / "suite")
+        records = read_jsonl(tmp_path / "suite/records.jsonl")
+        ran = [int(line) for line in log.read_text().split()]
+        assert sorted(ran) == sorted(r.seed for r in records)
+        cells = {}
+        for rec in records:
+            cells.setdefault((rec.optimizer, rec.problem), []).append(rec.seed)
+        for cell_seeds in cells.values():
+            assert [s for s in ran if s in cell_seeds] == cell_seeds
 
 
 class TestRunSuite:
@@ -207,6 +243,56 @@ class TestRunSuite:
         assert (tmp_path / "a/records.jsonl").read_bytes() == (
             tmp_path / "b/records.jsonl"
         ).read_bytes()
+
+    def test_pooled_and_in_process_outputs_are_identical(self, monkeypatch, tmp_path):
+        suite = tiny_suite(optimizers=("pao", "pso", "qpso", "de", "sade"),
+                           problems=(("griewangk", 2), ("rastrigin", 3)))
+        for cpus, out in (({0, 1}, "pooled"), ({0}, "alone")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert harness.cell_processes(10) == len(cpus)
+            run_suite(suite, tmp_path / out, include_duration=False)
+        for name in ("records.jsonl", "summary.json"):
+            assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+    def test_cells_run_in_workers(self, monkeypatch, tmp_path):
+        log = tmp_path / "pids.txt"
+        real = harness.run_one
+
+        def logged(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(harness, "run_one", logged)
+        run_suite(tiny_suite(), tmp_path / "suite")
+        pids = set(log.read_text().split())
+        assert str(os.getpid()) not in pids and 1 <= len(pids) <= 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_a_failing_run_reaches_the_caller(self, monkeypatch, tmp_path, cpus):
+        suite = tiny_suite()
+        bad = derive_seed(suite.base_seed, 1, 0, 1)  # de on dejong, repetition 1
+        real = harness.run_one
+
+        def failing(optimizer, problem, n, generations, seed, cfg=None):
+            if seed == bad:
+                raise ObjectiveEvaluationError(f"objective failed at seed {seed}")
+            return real(optimizer, problem, n, generations, seed, cfg)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(harness, "run_one", failing)
+        with pytest.raises(ObjectiveEvaluationError, match=f"^objective failed at seed {bad}$"):
+            run_suite(suite, tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "records.jsonl").exists()
+
+    def test_import_pao_loads_no_multiprocessing(self):
+        # run_suite imports it only when it starts a pool
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+        code = "import sys, pao; sys.exit('multiprocessing' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_summary_statistics(self, tmp_path):
         suite = tiny_suite(reps=3, optimizers=("de",), problems=(("dejong", 2),))

@@ -2,9 +2,12 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
+
+from pao.harness import cell_processes
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_benchmark.py"
 
@@ -16,10 +19,11 @@ def load_script():
     return module
 
 
-def test_one_rep_of_pso_on_the_2d_suite(tmp_path):
+def test_one_rep_of_pso_on_the_2d_suite(tmp_path, capsys):
     out = tmp_path / "results"
     args = ["--suite", "2d", "--reps", "1", "--optimizers", "pso", "--out", str(out)]
     assert load_script().main(args) == 0
+    assert re.search(rf"^9 runs in [0-9.]+s on {cell_processes(9)} process\(es\) -> ", capsys.readouterr().out, re.M)
     assert len((out / "records.jsonl").read_text().splitlines()) == 9
     assert len(json.loads((out / "summary.json").read_text())["entries"]) == 9
     assert len(list((out / "plots").glob("*.csv"))) == 9
