@@ -105,12 +105,23 @@ def _fitness_weighted_mean(positions, fitness):
     return w @ positions
 
 
+# the smallest population each user of ``draw_donors`` can draw its donors
+# from: the derand1bin attractor and the DE and SADE baselines
+MIN_POP = {"derand1bin": 4, "de": 4, "sade": 5}
+
+
+def check_pop(name: str, n: int):
+    """Raise unless ``name`` can run with a population of ``n``."""
+    least = MIN_POP.get(name, 1)
+    if n < least:
+        raise ValueError(f"{name} needs a population of at least {least}, got {n}")
+
+
 def _de_donors(positions, rng):
     """The derand1bin attractor: the rand/1 donor p_a + 0.5 (p_b - p_c), with
     a, b, c distinct and not the particle itself; no crossover is applied."""
     n = positions.shape[0]
-    if n < 4:
-        raise ValueError(f"derand1bin attractor needs at least 4 particles, got {n}")
+    check_pop("derand1bin", n)
     a, b, c = draw_donors(n, 3, rng).T
     return positions[a] + DE_WEIGHT * (positions[b] - positions[c])
 

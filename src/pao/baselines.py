@@ -14,20 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attractors import draw_donors, particle_mean
+from .attractors import check_pop, draw_donors, particle_mean
 from .benchmarks import Problem
 from .engine import drive, update_archive
 from .records import RunRecord
-
-# the smallest population each optimiser's move rule can draw its donors from
-MIN_POP = {"de": 4, "sade": 5}
-
-
-def check_pop(optimizer: str, n: int):
-    """Raise unless ``optimizer`` can run with a population of ``n``."""
-    least = MIN_POP.get(optimizer, 1)
-    if n < least:
-        raise ValueError(f"{optimizer} needs a population of at least {least}, got {n}")
 
 
 @dataclass(frozen=True)

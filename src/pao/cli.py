@@ -1,6 +1,9 @@
 """Command-line harness for single runs, benchmark suites, plot data and
 kernel inspection.
 
+``bench`` is the comparison experiment: it runs a suite and writes its
+records, summary and plot CSVs; ``plot-data`` re-plots a records file.
+
 A flat JSON config file can supply the command's flag values (``run``:
 optimizer, problem, dim, pop, gens, reps, seed, out; ``bench``: optimizers,
 pop, gens, reps, seed), griewangk_denominator, and the PAO-specific keys of
@@ -15,7 +18,9 @@ the PAO keys.  ``run`` alone adds its own: pao on 2-D dejong, one repetition.
 
 import argparse
 import json
+import os
 import sys
+import time
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .engine import PaoConfig
 from .harness import (
     aggregate_convergence,
     BenchmarkSuite,
+    cell_processes,
     derive_seed,
     emit_plot_data,
     format_summary,
@@ -117,17 +123,28 @@ def _cmd_bench(args) -> int:
     pao_params = {key: given.pop(key) for key in PAO_KEYS if key in given}
     if pao_params:
         given["pao"] = PaoConfig.from_params(pao_params)
-    summary = run_suite(standard_suite(args.suite, **given), args.out)
+    suite = standard_suite(args.suite, **given)
+    t0 = time.perf_counter()
+    summary = run_suite(suite, args.out)
+    plot_dir = os.path.join(args.out, "plots")
+    paths = _plot(args.out, plot_dir)
     print(format_summary(summary))
-    print(f"\nrecords: {args.out}/records.jsonl, summary: {args.out}/summary.json")
+    runs = sum(entry["runs"] for entry in summary["entries"])
+    processes = cell_processes(len(suite.optimizers) * len(suite.problems))
+    print(f"{runs} runs in {time.perf_counter() - t0:.1f}s on {processes} process(es) -> {args.out}")
+    print(f"plot data: {len(paths)} CSVs under {plot_dir}")
     return 0
 
 
+def _plot(in_dir, out_dir) -> list:
+    """Write the mean-convergence CSVs of ``in_dir/records.jsonl`` under
+    ``out_dir`` and return their paths."""
+    records = read_jsonl(os.path.join(in_dir, "records.jsonl"))
+    return emit_plot_data(aggregate_convergence(records), out_dir)
+
+
 def _cmd_plot_data(args) -> int:
-    records = read_jsonl(f"{args.in_dir}/records.jsonl")
-    curves = aggregate_convergence(records)
-    paths = emit_plot_data(curves, args.out)
-    for p in paths:
+    for p in _plot(args.in_dir, args.out):
         print(p)
     return 0
 
@@ -169,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="flat JSON config file")
     run_p.set_defaults(func=_cmd_run)
 
-    bench_p = sub.add_parser("bench", help="run a full benchmark suite")
+    bench_p = sub.add_parser(
+        "bench", help="run a benchmark suite and write its records, summary and plot CSVs"
+    )
     bench_p.add_argument("--suite", required=True, choices=("2d", "8d", "all"))
     bench_p.add_argument("--reps", type=int)
     bench_p.add_argument("--seed", type=int)

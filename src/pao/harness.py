@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, engine
+from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
@@ -65,9 +66,18 @@ class BenchmarkSuite:
     sade: SadeConfig = SadeConfig()
 
     def __post_init__(self):
-        # every cell is checked here, before any run: a (problem, dim) that
-        # make_problem rejects, or a population an optimiser cannot run with
-        problems = [make_problem(n, _dimension(n, d), self.griewangk_denominator) for n, d in self.problems]
+        # every cell is checked here, before any run: an empty axis, a run
+        # size that is not an integer, a (problem, dim) that make_problem
+        # rejects, or a population an optimiser cannot run with
+        for what in ("optimizers", "problems"):
+            if not getattr(self, what):
+                raise ValueError(f"the suite has no {what}")
+        for what in ("pop", "gens", "reps"):
+            object.__setattr__(self, what, _integer(what, getattr(self, what)))
+        problems = [
+            make_problem(n, _integer(f"problem ({n!r}, {d!r}): the dimension", d), self.griewangk_denominator)
+            for n, d in self.problems
+        ]
         object.__setattr__(self, "problems", tuple((p.name, p.dim) for p in problems))
         object.__setattr__(
             self, "optimizers", tuple(o.strip().lower() for o in self.optimizers)
@@ -79,24 +89,29 @@ class BenchmarkSuite:
                     raise ValueError(f"duplicate {what} {item!r} in the suite")
         if self.reps < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.reps}")
+        if self.gens < 0:
+            raise ValueError(f"generations must be >= 0, got {self.gens}")
         for opt in self.optimizers:
             if opt not in OPTIMIZER_IDS:
                 raise ValueError(f"unknown optimizer {opt!r}; expected one of {OPTIMIZER_IDS}")
-            baselines.check_pop(opt, self.pop)
+            check_pop(opt, self.pop)
+        if "pao" in self.optimizers and any(s.kind == "derand1bin" for s in self.pao.specs):
+            check_pop("derand1bin", self.pop)
 
     def config_for(self, optimizer: str):
         return getattr(self, optimizer)
 
 
-def _dimension(name, dim) -> int:
-    """``dim`` as an int; an integral float such as 2.0 passes, 2.7 does not."""
+def _integer(what, value) -> int:
+    """``value`` as an int; an integral float such as 2.0 passes, 2.7 and
+    ``True`` do not."""
     try:
-        integral = int(dim) == dim
+        integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
-        raise ValueError(f"problem ({name!r}, {dim!r}): the dimension must be an integer")
-    return int(dim)
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def standard_suite(which: str, **overrides) -> BenchmarkSuite:

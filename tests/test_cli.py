@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from pao import cli, harness
 from pao.benchmarks import make_problem
 from pao.cli import main
 from pao.engine import PaoConfig
-from pao.harness import derive_seed, run_one, standard_suite
+from pao.harness import cell_processes, derive_seed, run_one, standard_suite
 from pao.records import read_jsonl
 
 
@@ -225,11 +226,74 @@ class TestBenchAndPlotData:
             main(["bench", "--suite", "2d", "--optimizers", "pso,pso", "--out", str(out)])
         assert runs == [] and not out.exists()
 
+    def test_bench_rejects_a_population_derand1bin_cannot_run_before_any_run(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pop": 3, "attractors": ["globalbest", "derand1bin"]}))
+        out = tmp_path / "suite"
+        with pytest.raises(ValueError, match="derand1bin needs a population of at least 4, got 3"):
+            main(["bench", "--suite", "2d", "--optimizers", "pao,pso", "--out", str(out), "--config", str(cfg)])
+        assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("optimizers", [",", " , "])
+    def test_bench_rejects_an_empty_optimizer_list(self, tmp_path, monkeypatch, optimizers):
+        runs = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))
+        out = tmp_path / "suite"
+        with pytest.raises(ValueError, match="the suite has no optimizers"):
+            main(["bench", "--suite", "2d", "--optimizers", optimizers, "--out", str(out)])
+        assert runs == [] and not out.exists()
+
+    @staticmethod
+    def fake_run_suite(suites):
+        # records the suite and writes the records file of no runs
+        def run_suite(suite, out):
+            suites.append(suite)
+            Path(out, "records.jsonl").write_text("")
+            return {"entries": []}
+        return run_suite
+
     def test_bench_without_sizing_flags_runs_the_standard_suite(self, tmp_path, monkeypatch):
         suites = []
-        monkeypatch.setattr(cli, "run_suite", lambda suite, out: suites.append(suite) or {"entries": []})
+        monkeypatch.setattr(cli, "run_suite", self.fake_run_suite(suites))
         assert main(["bench", "--suite", "2d", "--out", str(tmp_path)]) == 0
         assert suites == [standard_suite("2d")]
+
+    def test_bench_drops_empty_names_from_the_optimizer_list(self, tmp_path, monkeypatch):
+        suites = []
+        monkeypatch.setattr(cli, "run_suite", self.fake_run_suite(suites))
+        assert main(["bench", "--suite", "2d", "--optimizers", "pso,", "--out", str(tmp_path)]) == 0
+        assert suites == [standard_suite("2d", optimizers=("pso",))]
+
+    def test_one_rep_of_pso_on_the_2d_suite(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["bench", "--suite", "2d", "--reps", "1", "--optimizers", "pso", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert re.search(rf"^9 runs in [0-9.]+s on {cell_processes(9)} process\(es\) -> {re.escape(str(out))}$", text, re.M)
+        assert re.search(rf"^plot data: 9 CSVs under {re.escape(str(out / 'plots'))}$", text, re.M)
+        assert len((out / "records.jsonl").read_text().splitlines()) == 9
+        assert len(json.loads((out / "summary.json").read_text())["entries"]) == 9
+        assert len(list((out / "plots").glob("*.csv"))) == 9
+
+    def test_bench_rejects_zero_reps(self, tmp_path):
+        out = tmp_path / "results"
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            main(["bench", "--suite", "2d", "--reps", "0", "--out", str(out)])
+        assert not out.exists()
+
+    def test_plot_data_rebuilds_the_plots_of_bench(self, tmp_path):
+        out = tmp_path / "results"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pop": 8, "gens": 3}))
+        main(["bench", "--suite", "2d", "--reps", "2", "--optimizers", "pao,de", "--out", str(out),
+              "--config", str(cfg)])
+        replot = tmp_path / "replot"
+        assert main(["plot-data", "--in", str(out), "--out", str(replot)]) == 0
+        written = sorted(p.name for p in (out / "plots").iterdir())
+        assert len(written) == 9 and sorted(p.name for p in replot.iterdir()) == written
+        for name in written:
+            assert (replot / name).read_bytes() == (out / "plots" / name).read_bytes()
 
 
 class TestEntryPoint:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from pao import baselines, engine, harness
+from pao import attractors, baselines, engine, harness
 from pao.engine import ObjectiveEvaluationError, PaoConfig
 from pao.baselines import DeConfig, PsoConfig
 from pao.benchmarks import make_problem
@@ -113,11 +113,49 @@ class TestSuiteConfig:
 
     def test_population_floors_are_one_table(self, monkeypatch):
         # the suite and the runner read the same minimum
-        monkeypatch.setitem(baselines.MIN_POP, "de", 6)
+        monkeypatch.setitem(attractors.MIN_POP, "de", 6)
         with pytest.raises(ValueError, match="at least 6"):
             tiny_suite(pop=5)
         with pytest.raises(ValueError, match="at least 6"):
             run_one("de", make_problem("dejong", 2), 5, 1, seed=0)
+
+    def test_rejects_a_population_the_derand1bin_attractor_cannot_run(self):
+        derand = PaoConfig.from_params({"attractors": ["globalbest", "derand1bin"]})
+        with pytest.raises(ValueError, match="derand1bin needs a population of at least 4, got 3"):
+            tiny_suite(pop=3, optimizers=("pso", "pao"), pao=derand)
+        # the floor holds only where a derand1bin attractor runs
+        tiny_suite(pop=3, optimizers=("pao", "pso"))
+        tiny_suite(pop=3, optimizers=("pso",), pao=derand)
+        tiny_suite(pop=4, optimizers=("pao",), pao=derand)
+
+    def test_derand1bin_floor_is_read_from_the_table(self, monkeypatch):
+        derand = PaoConfig.from_params({"attractors": ["derand1bin"]})
+        monkeypatch.setitem(attractors.MIN_POP, "derand1bin", 6)
+        with pytest.raises(ValueError, match="at least 6"):
+            tiny_suite(pop=5, optimizers=("pao",), pao=derand)
+        with pytest.raises(ValueError, match="at least 6"):
+            run_one("pao", make_problem("dejong", 2), 5, 1, seed=0, cfg=derand)
+
+    @pytest.mark.parametrize("axis", ["optimizers", "problems"])
+    def test_rejects_an_empty_suite(self, axis):
+        with pytest.raises(ValueError, match=f"the suite has no {axis}"):
+            tiny_suite(**{axis: ()})
+
+    @pytest.mark.parametrize(
+        "size, value",
+        [("pop", 2.5), ("gens", 2.5), ("reps", 2.5), ("pop", True), ("gens", False), ("reps", np.True_),
+         ("pop", "8"), ("gens", None), ("reps", float("nan")), ("gens", -1)],
+    )
+    def test_rejects_run_sizes_a_run_cannot_take(self, size, value):
+        error = "generations must be >= 0, got -1" if value == -1 else f"{size} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            tiny_suite(**{size: value})
+
+    def test_accepts_integral_run_sizes(self):
+        suite = tiny_suite(pop=np.int64(8), gens=4.0, reps=np.uint8(2))
+        sizes = (suite.pop, suite.gens, suite.reps)
+        assert sizes == (8, 4, 2) and all(type(v) is int for v in sizes)
+        assert tiny_suite(gens=0).gens == 0
 
     @pytest.mark.parametrize(
         "overrides, error",
