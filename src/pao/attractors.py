@@ -1,11 +1,13 @@
 """Attraction points, their stiffness-weighted centroid and the swarm noise
 scale.
 
-Each attractor rule fills one (N, D) slice of the (r, N, D) attractor tensor
-from a snapshot of the swarm.  All rules are pure functions of that snapshot
-plus an explicit random source.  The stiffnesses are not stored with the
-attractors: ``weighted_centroid`` takes them as a plain sequence, one per
-slice, and ``engine.PaoConfig`` holds them beside the attractor menu.
+One table maps each attractor kind to its rule, and ``VALID_KINDS`` is its
+keys.  ``compute_attractors`` fills one (N, D) slice of the (r, N, D)
+attractor tensor per spec with its kind's rule.  All rules are pure functions
+of a snapshot of the swarm plus an explicit random source.  The stiffnesses
+are not stored with the attractors: ``weighted_centroid`` takes them as a
+plain sequence, one per slice, and ``engine.PaoConfig`` holds them beside the
+attractor menu.
 
 A generation runs a few dozen NumPy calls on small arrays, so call overhead
 counts: reductions go through the ufunc's ``reduce`` rather than the
@@ -21,14 +23,20 @@ import numpy as np
 # Differential weight of the derand1bin attractor's rand/1 donor.
 DE_WEIGHT = 0.5
 
-_DETERMINISTIC_KINDS = (
-    "globalbest",
-    "localbest",
-    "averagelocalbest",
-    "averageparticle",
-    "weightedaverageparticle",
-)
-VALID_KINDS = _DETERMINISTIC_KINDS + ("derand1bin", "stochasticgaussian")
+# attractor kind -> rule(swarm, spec, rng): the kind's attraction points, an
+# array that broadcasts to the swarm's (N, D) positions
+_RULES = {
+    "globalbest": lambda swarm, spec, rng: swarm.global_best_pos,
+    "localbest": lambda swarm, spec, rng: swarm.local_best_pos,
+    "averagelocalbest": lambda swarm, spec, rng: particle_mean(swarm.local_best_pos),
+    "averageparticle": lambda swarm, spec, rng: particle_mean(swarm.positions),
+    "weightedaverageparticle": lambda swarm, spec, rng: _fitness_weighted_mean(swarm.positions, swarm.fitness),
+    "derand1bin": lambda swarm, spec, rng: _de_donors(swarm.positions, rng),
+    "stochasticgaussian": lambda swarm, spec, rng: (
+        swarm.global_best_pos + spec.stddev * rng.standard_normal(swarm.positions.shape)
+    ),
+}
+VALID_KINDS = tuple(_RULES)
 
 
 @dataclass(frozen=True)
@@ -50,9 +58,11 @@ class AttractorSpec:
     @classmethod
     def parse(cls, text: str) -> "AttractorSpec":
         """Parse a config string, e.g. ``globalbest`` or ``stochasticgaussian:0.5``."""
-        kind, _, arg = text.partition(":")
-        spec = cls(kind, stddev=float(arg)) if arg else cls(kind)
-        if arg and spec.kind != "stochasticgaussian":
+        kind, colon, arg = text.partition(":")
+        if colon and not arg.strip():
+            raise ValueError(f"attractor spec {text!r}: nothing follows the ':'")
+        spec = cls(kind, stddev=float(arg)) if colon else cls(kind)
+        if colon and spec.kind != "stochasticgaussian":
             raise ValueError(f"attractor spec {text!r}: {spec.kind} takes no argument")
         return spec
 
@@ -69,24 +79,9 @@ def compute_attractors(swarm, specs, rng) -> np.ndarray:
     Returns the (r, N, D) attractor tensor, one (N, D) slice per spec.
     Needs the swarm's fitness and best archives to be up to date.
     """
-    positions = swarm.positions
-    n, d = positions.shape
-    alpha = np.empty((len(specs), n, d))
+    alpha = np.empty((len(specs),) + swarm.positions.shape)
     for s, spec in enumerate(specs):
-        if spec.kind == "globalbest":
-            alpha[s] = swarm.global_best_pos
-        elif spec.kind == "localbest":
-            alpha[s] = swarm.local_best_pos
-        elif spec.kind == "averagelocalbest":
-            alpha[s] = particle_mean(swarm.local_best_pos)
-        elif spec.kind == "averageparticle":
-            alpha[s] = particle_mean(positions)
-        elif spec.kind == "weightedaverageparticle":
-            alpha[s] = _fitness_weighted_mean(positions, swarm.fitness)
-        elif spec.kind == "derand1bin":
-            alpha[s] = _de_donors(positions, rng)
-        elif spec.kind == "stochasticgaussian":
-            alpha[s] = swarm.global_best_pos + spec.stddev * rng.standard_normal((n, d))
+        alpha[s] = _RULES[spec.kind](swarm, spec, rng)
     return alpha
 
 

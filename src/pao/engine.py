@@ -19,6 +19,7 @@ every trial inside it, so only the PAO step under ``bounds_policy="none"``
 asks ``update_archive`` to test the trials against the box.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -105,13 +106,26 @@ class PaoConfig:
         specs = base.specs
         if "attractors" in params:
             specs = tuple(AttractorSpec.parse(s) for s in params["attractors"])
-        given = {key: float(params[key]) for key in ("m", "zeta", "q0", "dt") if key in params}
+        given = {key: _number(key, params[key]) for key in ("m", "zeta", "q0", "dt") if key in params}
+        k = tuple(_number("k", v, strings=True) for v in params["k"]) if "k" in params else (1.0,) * len(specs)
         return cls(
-            hp=replace(base.hp, k=params.get("k", (1.0,) * len(specs)), **given),
+            hp=replace(base.hp, k=k, **given),
             specs=specs,
             bounds_policy=params.get("bounds_policy", base.bounds_policy),
             velocity_init=params.get("velocity_init", base.velocity_init),
         )
+
+
+def _number(key, value, strings=False) -> float:
+    """The value ``value`` of the PAO key ``key`` as a float.  A bool, null or
+    other non-number raises naming the key; where ``strings``, a numeric
+    string passes too, as the comma form ``"k": "1,2"`` gives."""
+    if not isinstance(value, bool) and isinstance(value, (numbers.Real, str) if strings else numbers.Real):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"PAO key {key!r}: {value!r} is not a number")
 
 
 def evaluate_population(problem: Problem, positions) -> np.ndarray:

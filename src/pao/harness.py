@@ -95,8 +95,9 @@ class BenchmarkSuite:
             if opt not in OPTIMIZER_IDS:
                 raise ValueError(f"unknown optimizer {opt!r}; expected one of {OPTIMIZER_IDS}")
             check_pop(opt, self.pop)
-        if "pao" in self.optimizers and any(s.kind == "derand1bin" for s in self.pao.specs):
-            check_pop("derand1bin", self.pop)
+        if "pao" in self.optimizers:
+            for spec in self.pao.specs:
+                check_pop(spec.kind, self.pop)
 
     def config_for(self, optimizer: str):
         return getattr(self, optimizer)
@@ -169,7 +170,7 @@ def _run_job(job) -> list:
     return run_cell(optimizer, make_problem(name, dim, griewangk_denominator), pop, gens, seeds, cfg)
 
 
-def run_suite(suite: BenchmarkSuite, out_path, include_duration: bool = True) -> dict:
+def run_suite(suite: BenchmarkSuite, out_path) -> dict:
     """Execute every (optimiser, problem, repetition) run of the suite.
 
     Writes ``records.jsonl`` and ``summary.json`` under ``out_path`` and
@@ -205,7 +206,7 @@ def run_suite(suite: BenchmarkSuite, out_path, include_duration: bool = True) ->
         finally:
             pool.join()
     records = [rec for cell in cells for rec in cell]
-    write_jsonl(records, os.path.join(out_path, "records.jsonl"), include_duration)
+    write_jsonl(records, os.path.join(out_path, "records.jsonl"))
     summary = summarize(records)
     with open(os.path.join(out_path, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -250,6 +251,8 @@ def aggregate_convergence(records) -> dict:
     generation plus the median and interquartile band.  Records are sorted
     by run id before stacking so the result is independent of input order.
     """
+    if not records:
+        raise ValueError("no records to aggregate")
     horizons = {rec.gens for rec in records}
     if len(horizons) > 1:
         raise ValueError(f"records have mismatched generation horizons: {sorted(horizons)}")

@@ -76,11 +76,11 @@ def history_entry(g: int, best: float, mean: float, shifted_best: float) -> dict
     return {"g": g, "best": best, "mean": mean, "shifted_best": shifted_best}
 
 
-def write_jsonl(records, path, include_duration: bool = True):
+def write_jsonl(records, path):
     """Write records one JSON object per line (streams through one writer)."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(include_duration=include_duration)))
+            fh.write(json.dumps(rec.to_json_dict()))
             fh.write("\n")
 
 

@@ -1,6 +1,7 @@
 """Attractor rule tests: each rule against its definition on small
 hand-built swarms, plus the centroid and noise-scale identities."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,8 @@ from pao.attractors import (
     AttractorSpec,
     DE_WEIGHT,
     VALID_KINDS,
+    _de_donors,
+    _fitness_weighted_mean,
     compute_attractors,
     draw_donors,
     noise_scale,
@@ -49,6 +52,30 @@ def reference_draw_donors(n, size, rng):
     return taken[:, 1:]
 
 
+def reference_compute_attractors(swarm, specs, rng):
+    """The attractor tensor from an if-chain over the kinds, the form the
+    kind -> rule table must reproduce bit for bit and draw for draw."""
+    positions = swarm.positions
+    n, d = positions.shape
+    alpha = np.empty((len(specs), n, d))
+    for s, spec in enumerate(specs):
+        if spec.kind == "globalbest":
+            alpha[s] = swarm.global_best_pos
+        elif spec.kind == "localbest":
+            alpha[s] = swarm.local_best_pos
+        elif spec.kind == "averagelocalbest":
+            alpha[s] = particle_mean(swarm.local_best_pos)
+        elif spec.kind == "averageparticle":
+            alpha[s] = particle_mean(positions)
+        elif spec.kind == "weightedaverageparticle":
+            alpha[s] = _fitness_weighted_mean(positions, swarm.fitness)
+        elif spec.kind == "derand1bin":
+            alpha[s] = _de_donors(positions, rng)
+        elif spec.kind == "stochasticgaussian":
+            alpha[s] = swarm.global_best_pos + spec.stddev * rng.standard_normal((n, d))
+    return alpha
+
+
 class TestSpec:
     @pytest.mark.parametrize("kind", VALID_KINDS)
     def test_parse_label_round_trip(self, kind):
@@ -85,6 +112,11 @@ class TestSpec:
     @pytest.mark.parametrize("text", ["globalbest:0.5", "derand1bin:1.0", " LocalBest :2"])
     def test_parse_rejects_argument_of_kind_without_one(self, text):
         with pytest.raises(ValueError, match=f"attractor spec {text!r}: .* takes no argument"):
+            AttractorSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["globalbest:", "stochasticgaussian:", "derand1bin: ", "localbest:\t"])
+    def test_parse_rejects_empty_argument(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"attractor spec {text!r}: nothing follows")):
             AttractorSpec.parse(text)
 
     @given(st.floats(0.0, 10.0))
@@ -185,6 +217,30 @@ class TestRules:
         assert alpha.shape == (2, 5, 2)
         np.testing.assert_array_equal(alpha[0], self.swarm.local_best_pos)
         np.testing.assert_array_equal(alpha[1], np.tile(self.swarm.global_best_pos, (5, 1)))
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize(
+        "menu",
+        [[kind] for kind in VALID_KINDS]
+        + [["derand1bin", "stochasticgaussian:0.5"], ["stochasticgaussian", "derand1bin"], list(VALID_KINDS)],
+    )
+    @pytest.mark.parametrize("n, d", [(4, 1), (5, 3), (30, 8)])
+    def test_bytes_and_draws_match(self, menu, n, d):
+        specs = [AttractorSpec.parse(text) for text in menu]
+        for seed in range(3):
+            init = np.random.default_rng(seed)
+            positions = init.uniform(-5.0, 5.0, (n, d))
+            local_best_pos = init.uniform(-5.0, 5.0, (n, d))
+            fitness = init.uniform(0.0, 100.0, n)
+            swarm = make_swarm(positions, fitness, local_best_pos, local_best_pos[np.argmin(fitness)].copy())
+            rng, twin = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            got = compute_attractors(swarm, specs, rng)
+            want = reference_compute_attractors(swarm, specs, twin)
+            assert got.shape == want.shape == (len(specs), n, d)
+            assert got.tobytes() == want.tobytes()
+            # both consumed the same draws, so the next one agrees too
+            assert rng.random() == twin.random()
 
 
 class TestDonorDraw:

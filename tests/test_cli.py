@@ -14,7 +14,7 @@ from pao.benchmarks import make_problem
 from pao.cli import main
 from pao.engine import PaoConfig
 from pao.harness import cell_processes, derive_seed, run_one, standard_suite
-from pao.records import read_jsonl
+from pao.records import read_jsonl, write_jsonl
 
 
 class TestKernelInfo:
@@ -247,10 +247,10 @@ class TestBenchAndPlotData:
 
     @staticmethod
     def fake_run_suite(suites):
-        # records the suite and writes the records file of no runs
+        # records the suite and writes the records file of one short run
         def run_suite(suite, out):
             suites.append(suite)
-            Path(out, "records.jsonl").write_text("")
+            write_jsonl([run_one("pso", make_problem("dejong", 2), 4, 1, seed=0)], Path(out, "records.jsonl"))
             return {"entries": []}
         return run_suite
 
@@ -294,6 +294,16 @@ class TestBenchAndPlotData:
         assert len(written) == 9 and sorted(p.name for p in replot.iterdir()) == written
         for name in written:
             assert (replot / name).read_bytes() == (out / "plots" / name).read_bytes()
+
+    def test_plot_data_of_no_records_exits_non_zero(self, tmp_path):
+        (tmp_path / "records.jsonl").write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pao.cli", "plot-data", "--in", str(tmp_path), "--out", str(tmp_path / "plots")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "no records" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestEntryPoint:

@@ -45,6 +45,11 @@ def tiny_suite(**overrides):
     return BenchmarkSuite(**kwargs)
 
 
+def sans_duration(out_path):
+    """The JSON lines of a suite's records, each without ``duration_ms``."""
+    return [json.dumps(r.to_json_dict(include_duration=False)) for r in read_jsonl(out_path / "records.jsonl")]
+
+
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -276,11 +281,9 @@ class TestRunSuite:
 
     def test_reruns_are_identical_sans_duration(self, tmp_path):
         suite = tiny_suite()
-        run_suite(suite, tmp_path / "a", include_duration=False)
-        run_suite(suite, tmp_path / "b", include_duration=False)
-        assert (tmp_path / "a/records.jsonl").read_bytes() == (
-            tmp_path / "b/records.jsonl"
-        ).read_bytes()
+        run_suite(suite, tmp_path / "a")
+        run_suite(suite, tmp_path / "b")
+        assert sans_duration(tmp_path / "a") == sans_duration(tmp_path / "b")
 
     def test_pooled_and_in_process_outputs_are_identical(self, monkeypatch, tmp_path):
         suite = tiny_suite(optimizers=("pao", "pso", "qpso", "de", "sade"),
@@ -288,9 +291,9 @@ class TestRunSuite:
         for cpus, out in (({0, 1}, "pooled"), ({0}, "alone")):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             assert harness.cell_processes(10) == len(cpus)
-            run_suite(suite, tmp_path / out, include_duration=False)
-        for name in ("records.jsonl", "summary.json"):
-            assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+            run_suite(suite, tmp_path / out)
+        assert sans_duration(tmp_path / "pooled") == sans_duration(tmp_path / "alone")
+        assert (tmp_path / "pooled/summary.json").read_bytes() == (tmp_path / "alone/summary.json").read_bytes()
 
     def test_cells_run_in_workers(self, monkeypatch, tmp_path):
         log = tmp_path / "pids.txt"
@@ -380,6 +383,10 @@ class TestAggregation:
         short.run_id = "de_dejong_2d_r099"
         with pytest.raises(ValueError, match="horizons"):
             aggregate_convergence(records + [short])
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            aggregate_convergence([])
 
 
 class TestPlotData:

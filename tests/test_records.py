@@ -81,11 +81,6 @@ class TestJsonl:
         for line in lines:
             json.loads(line)
 
-    def test_duration_excluded_on_request(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        write_jsonl([make_record()], path, include_duration=False)
-        assert "duration_ms" not in json.loads(path.read_text())
-
     def test_read_skips_blank_lines(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_jsonl([make_record()], path)
