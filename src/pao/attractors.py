@@ -59,10 +59,16 @@ class AttractorSpec:
     def parse(cls, text: str) -> "AttractorSpec":
         """Parse a config string, e.g. ``globalbest`` or ``stochasticgaussian:0.5``."""
         kind, colon, arg = text.partition(":")
-        if colon and not arg.strip():
+        if not colon:
+            return cls(kind)
+        if not arg.strip():
             raise ValueError(f"attractor spec {text!r}: nothing follows the ':'")
-        spec = cls(kind, stddev=float(arg)) if colon else cls(kind)
-        if colon and spec.kind != "stochasticgaussian":
+        try:
+            stddev = float(arg)
+        except ValueError:
+            raise ValueError(f"attractor spec {text!r}: {arg.strip()!r} is not a number") from None
+        spec = cls(kind, stddev=stddev)
+        if spec.kind != "stochasticgaussian":
             raise ValueError(f"attractor spec {text!r}: {spec.kind} takes no argument")
         return spec
 

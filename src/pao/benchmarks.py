@@ -2,10 +2,13 @@
 
 All nine functions accept any dimension n >= 1 (Rosenbrock needs n >= 2) and are
 evaluated batch-wise over an (m, n) array of candidate points.  Indices in
-the formulas are 1-based.
+the formulas are 1-based.  Every objective is a module-level function (the
+Griewangk one with its denominator bound by ``functools.partial``), so a
+built ``Problem`` pickles and a suite's worker processes receive it whole.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +42,11 @@ class Problem:
                 f"{self.name}: objective({self.optimum_pos}) = {got}, "
                 f"expected {self.optimum_val}"
             )
+
+    def __reduce__(self):
+        # rebuilt through __init__: the copy is checked against its optimum
+        # and its arrays are read-only again
+        return (Problem, tuple(getattr(self, f.name) for f in fields(self)))
 
     def objective(self, x) -> float:
         """Objective value at a single n-vector."""
@@ -76,16 +84,13 @@ def _rosenbrock(x):
     return (100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
 
 
-def _make_griewangk(denominator):
-    def griewangk(x):
-        i = np.arange(1, x.shape[-1] + 1)
-        return (
-            (x**2).sum(axis=-1) / denominator
-            - np.cos(x / np.sqrt(i)).prod(axis=-1)
-            + 1.0
-        )
-
-    return griewangk
+def _griewangk(x, denominator):
+    i = np.arange(1, x.shape[-1] + 1)
+    return (
+        (x**2).sum(axis=-1) / denominator
+        - np.cos(x / np.sqrt(i)).prod(axis=-1)
+        + 1.0
+    )
 
 
 def _rastrigin(x):
@@ -104,17 +109,17 @@ def _schwefel(x):
     return (-x * np.sin(np.sqrt(np.abs(x)))).sum(axis=-1)
 
 
-# name -> (domain half-width bounds, batch builder, optimiser position per dim)
+# name -> (domain half-width bounds, batch objective, optimiser position per dim)
 _CATALOG = {
-    "dejong": (5.12, lambda cfg: _dejong, 0.0),
-    "hyperellipsoid": (5.12, lambda cfg: _hyperellipsoid, 0.0),
-    "rotatedhyperellipsoid": (65.54, lambda cfg: _rotated_hyperellipsoid, 0.0),
-    "powersum": (1.0, lambda cfg: _powersum, 0.0),
-    "rosenbrock": (2.048, lambda cfg: _rosenbrock, 1.0),
-    "griewangk": (600.0, lambda cfg: _make_griewangk(cfg), 0.0),
-    "rastrigin": (5.12, lambda cfg: _rastrigin, 0.0),
-    "ackley": (32.77, lambda cfg: _ackley, 0.0),
-    "schwefel": (500.0, lambda cfg: _schwefel, SCHWEFEL_OPT),
+    "dejong": (5.12, _dejong, 0.0),
+    "hyperellipsoid": (5.12, _hyperellipsoid, 0.0),
+    "rotatedhyperellipsoid": (65.54, _rotated_hyperellipsoid, 0.0),
+    "powersum": (1.0, _powersum, 0.0),
+    "rosenbrock": (2.048, _rosenbrock, 1.0),
+    "griewangk": (600.0, _griewangk, 0.0),
+    "rastrigin": (5.12, _rastrigin, 0.0),
+    "ackley": (32.77, _ackley, 0.0),
+    "schwefel": (500.0, _schwefel, SCHWEFEL_OPT),
 }
 
 PROBLEM_NAMES = tuple(_CATALOG)
@@ -135,8 +140,9 @@ def make_problem(name: str, dim: int, griewangk_denominator: float = GRIEWANGK_D
         raise ValueError("rosenbrock needs dimension >= 2")
     if not (0 < griewangk_denominator < np.inf):
         raise ValueError(f"griewangk_denominator must be finite and > 0, got {griewangk_denominator}")
-    half_width, builder, opt_coord = _CATALOG[key]
-    batch = builder(griewangk_denominator)
+    half_width, batch, opt_coord = _CATALOG[key]
+    if key == "griewangk":
+        batch = partial(batch, denominator=griewangk_denominator)
     opt_pos = np.full(dim, opt_coord)
     opt_val = float(batch(opt_pos[None, :])[0]) if key == "schwefel" else 0.0
     return Problem(

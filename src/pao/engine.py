@@ -19,7 +19,6 @@ every trial inside it, so only the PAO step under ``bounds_policy="none"``
 asks ``update_archive`` to test the trials against the box.
 """
 
-import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .attractors import AttractorSpec, compute_attractors, noise_scale, weighted_centroid
 from .benchmarks import Problem, shift_to_zero
-from .kernel import Hyperparams, TransitionKernel, build_kernel, sample_transition
+from .kernel import Hyperparams, TransitionKernel, build_kernel, sample_transition, to_float
 from .records import RunRecord, history_entry
 
 BOUNDS_POLICIES = ("none", "clip", "reflect")
@@ -105,27 +104,18 @@ class PaoConfig:
                 raise ValueError(f"PAO key {key!r} must be a list, got {params[key]!r}")
         specs = base.specs
         if "attractors" in params:
-            specs = tuple(AttractorSpec.parse(s) for s in params["attractors"])
-        given = {key: _number(key, params[key]) for key in ("m", "zeta", "q0", "dt") if key in params}
-        k = tuple(_number("k", v, strings=True) for v in params["k"]) if "k" in params else (1.0,) * len(specs)
+            for text in params["attractors"]:
+                if not isinstance(text, str):
+                    raise ValueError(f"PAO key 'attractors': {text!r} is not an attractor spec string")
+            specs = tuple(AttractorSpec.parse(text) for text in params["attractors"])
+        given = {key: to_float(f"PAO key {key!r}", params[key]) for key in ("m", "zeta", "q0", "dt") if key in params}
+        k = tuple(to_float("PAO key 'k'", v, strings=True) for v in params["k"]) if "k" in params else (1.0,) * len(specs)
         return cls(
             hp=replace(base.hp, k=k, **given),
             specs=specs,
             bounds_policy=params.get("bounds_policy", base.bounds_policy),
             velocity_init=params.get("velocity_init", base.velocity_init),
         )
-
-
-def _number(key, value, strings=False) -> float:
-    """The value ``value`` of the PAO key ``key`` as a float.  A bool, null or
-    other non-number raises naming the key; where ``strings``, a numeric
-    string passes too, as the comma form ``"k": "1,2"`` gives."""
-    if not isinstance(value, bool) and isinstance(value, (numbers.Real, str) if strings else numbers.Real):
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
-    raise ValueError(f"PAO key {key!r}: {value!r} is not a number")
 
 
 def evaluate_population(problem: Problem, positions) -> np.ndarray:

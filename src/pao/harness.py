@@ -67,12 +67,12 @@ class BenchmarkSuite:
 
     def __post_init__(self):
         # every cell is checked here, before any run: an empty axis, a run
-        # size that is not an integer, a (problem, dim) that make_problem
-        # rejects, or a population an optimiser cannot run with
+        # size or base seed that is not an integer, a (problem, dim) that
+        # make_problem rejects, or a population an optimiser cannot run with
         for what in ("optimizers", "problems"):
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")
-        for what in ("pop", "gens", "reps"):
+        for what in ("pop", "gens", "reps", "base_seed"):
             object.__setattr__(self, what, _integer(what, getattr(self, what)))
         problems = [
             make_problem(n, _integer(f"problem ({n!r}, {d!r}): the dimension", d), self.griewangk_denominator)
@@ -160,51 +160,36 @@ def cell_processes(n_cells: int) -> int:
     return max(1, min(cpus, n_cells))
 
 
-def _run_job(job) -> list:
-    """``run_cell`` on one suite cell, described by plain values.
-
-    The problem is built here because a Griewangk objective is a closure,
-    which does not pickle.
-    """
-    optimizer, name, dim, griewangk_denominator, pop, gens, seeds, cfg = job
-    return run_cell(optimizer, make_problem(name, dim, griewangk_denominator), pop, gens, seeds, cfg)
-
-
 def run_suite(suite: BenchmarkSuite, out_path) -> dict:
     """Execute every (optimiser, problem, repetition) run of the suite.
 
     Writes ``records.jsonl`` and ``summary.json`` under ``out_path`` and
-    returns the summary.  Each (optimiser, problem) cell is one ``run_cell``
-    call.  The cells run on ``cell_processes`` forked workers (in this
+    returns the summary.  Each (optimiser, problem) cell is one job: the
+    arguments of one ``run_cell`` call on a problem built here, which
+    pickles.  The jobs run on ``cell_processes`` forked workers (in this
     process when that is 1, as under ``taskset -c 0``); the derived seeds
     make the records the same either way, and in cell order.  A forked
     worker inherits the imported package and any ``run_one`` replaced in
     this module.  ``duration_ms`` is each run's wall time in its worker.
     """
     os.makedirs(out_path, exist_ok=True)
+    problems = [make_problem(name, dim, suite.griewangk_denominator) for name, dim in suite.problems]
     jobs = [
-        (opt, name, dim, suite.griewangk_denominator, suite.pop, suite.gens,
+        (opt, problem, suite.pop, suite.gens,
          [derive_seed(suite.base_seed, oi, pi, rep) for rep in range(suite.reps)], suite.config_for(opt))
         for oi, opt in enumerate(suite.optimizers)
-        for pi, (name, dim) in enumerate(suite.problems)
+        for pi, problem in enumerate(problems)
     ]
     processes = cell_processes(len(jobs))
     if processes == 1:
-        cells = [_run_job(job) for job in jobs]
+        cells = [run_cell(*job) for job in jobs]
     else:
         # imported here, so `import pao` does not load it
         import multiprocessing
 
-        pool = multiprocessing.get_context("fork").Pool(processes)
-        try:
-            cells = pool.map(_run_job, jobs, chunksize=1)
-        except BaseException:
-            pool.terminate()
-            raise
-        else:
-            pool.close()
-        finally:
-            pool.join()
+        # leaving the block terminates and joins the workers, on success or error
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
+            cells = pool.starmap(run_cell, jobs, chunksize=1)
     records = [rec for cell in cells for rec in cell]
     write_jsonl(records, os.path.join(out_path, "records.jsonl"))
     summary = summarize(records)

@@ -20,6 +20,7 @@ whose unit precision and log-normaliser the kernel holds.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,11 @@ class Hyperparams:
     dt: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(float(v) for v in self.k))
+        # floats, so a record's params read back through PaoConfig.from_params
+        # write the same bytes; k takes numeric strings, as `kernel-info --k 1,2`
+        for name in ("m", "zeta", "q0", "dt"):
+            object.__setattr__(self, name, to_float(name, getattr(self, name)))
+        object.__setattr__(self, "k", tuple(to_float("k", v, strings=True) for v in self.k))
         for name in ("m", "zeta", "q0", "dt", "k"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -73,6 +78,17 @@ class Hyperparams:
     def k_total(self) -> float:
         """Combined stiffness k' of the equivalent single spring."""
         return float(sum(self.k))
+
+
+def to_float(what, value, strings=False) -> float:
+    """``value`` as a float.  A bool, None or other non-number raises naming
+    ``what``; where ``strings``, a numeric string passes too."""
+    if not isinstance(value, bool) and isinstance(value, (numbers.Real, str) if strings else numbers.Real):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what}: {value!r} is not a number")
 
 
 def build_drift_matrix(hp: Hyperparams) -> np.ndarray:

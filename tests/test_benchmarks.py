@@ -1,11 +1,14 @@
 """Benchmark function tests: hand-computed values, optimum identities,
 domain boxes and batch/single consistency."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pao.benchmarks import (
+    GRIEWANGK_DENOMINATOR,
     PROBLEM_NAMES,
     Problem,
     SCHWEFEL_OPT,
@@ -191,3 +194,26 @@ class TestProblemValidation:
                 optimum_val=0.0,
                 batch=lambda xs: (xs**2).sum(axis=-1),
             )
+
+
+class TestPickle:
+    # a suite sends each built problem to a worker process whole
+    @pytest.mark.parametrize(
+        "name, denominator",
+        [(name, GRIEWANGK_DENOMINATOR) for name in PROBLEM_NAMES] + [("griewangk", 4000.0)],
+    )
+    def test_round_trip(self, name, denominator):
+        p = make_problem(name, 3, denominator)
+        q = pickle.loads(pickle.dumps(p))
+        assert (q.name, q.dim, q.optimum_val) == (p.name, p.dim, p.optimum_val)
+        for field in ("lower", "upper", "optimum_pos"):
+            np.testing.assert_array_equal(getattr(q, field), getattr(p, field))
+            assert not getattr(q, field).flags.writeable
+        xs = np.random.default_rng(7).uniform(p.lower, p.upper, size=(64, 3))
+        assert q.evaluate(xs).tobytes() == p.evaluate(xs).tobytes()
+
+    def test_unpickling_checks_the_optimum_again(self):
+        p = make_problem("dejong", 2)
+        object.__setattr__(p, "optimum_val", 1.0)
+        with pytest.raises(ValueError, match="expected 1.0"):
+            pickle.loads(pickle.dumps(p))

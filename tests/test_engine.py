@@ -80,11 +80,25 @@ class TestConfig:
          ({"dt": [1.0]}, r"PAO key 'dt': \[1.0\] is not a number"),
          ({"k": [True, 1]}, "PAO key 'k': True is not a number"),
          ({"k": [1.0, None]}, "PAO key 'k': None is not a number"),
-         ({"k": ["1", "two"]}, "PAO key 'k': 'two' is not a number")],
+         ({"k": ["1", "two"]}, "PAO key 'k': 'two' is not a number"),
+         # each attractor entry is a spec string, and a bad one is named
+         ({"attractors": [1]}, "PAO key 'attractors': 1 is not an attractor spec string"),
+         ({"attractors": ["globalbest", None]}, "PAO key 'attractors': None is not an attractor spec string"),
+         ({"attractors": ["stochasticgaussian:abc"]}, "attractor spec 'stochasticgaussian:abc': 'abc' is not a number"),
+         ({"attractors": ["stochasticgaussian: 1e "]}, "attractor spec 'stochasticgaussian: 1e ': '1e' is not a number")],
     )
     def test_from_params_rejects(self, params, match):
         with pytest.raises(ValueError, match=match):
             PaoConfig.from_params(params)
+
+    @pytest.mark.parametrize("hp", [Hyperparams(m=2), Hyperparams(zeta=1, k=(1, 2), q0=0, dt=1)])
+    def test_integer_hyperparameters_survive_the_record_round_trip(self, hp):
+        problem = make_problem("rastrigin", 2)
+        first = run_pao(problem, 6, 2, PaoConfig(hp=hp), seed=3)
+        again = run_pao(problem, 6, 2, PaoConfig.from_params(first.params), seed=3)
+        assert json.dumps(first.to_json_dict(include_duration=False)) == json.dumps(
+            again.to_json_dict(include_duration=False)
+        )
 
 
 class TestBounds:

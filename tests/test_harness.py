@@ -149,7 +149,10 @@ class TestSuiteConfig:
     @pytest.mark.parametrize(
         "size, value",
         [("pop", 2.5), ("gens", 2.5), ("reps", 2.5), ("pop", True), ("gens", False), ("reps", np.True_),
-         ("pop", "8"), ("gens", None), ("reps", float("nan")), ("gens", -1)],
+         ("pop", "8"), ("gens", None), ("reps", float("nan")), ("gens", -1),
+         # a base seed like these would fail only when the first run derives
+         # its seed, or run as seed 1
+         ("base_seed", 1.5), ("base_seed", "3"), ("base_seed", None), ("base_seed", True)],
     )
     def test_rejects_run_sizes_a_run_cannot_take(self, size, value):
         error = "generations must be >= 0, got -1" if value == -1 else f"{size} must be an integer, got {value!r}"
@@ -157,9 +160,9 @@ class TestSuiteConfig:
             tiny_suite(**{size: value})
 
     def test_accepts_integral_run_sizes(self):
-        suite = tiny_suite(pop=np.int64(8), gens=4.0, reps=np.uint8(2))
-        sizes = (suite.pop, suite.gens, suite.reps)
-        assert sizes == (8, 4, 2) and all(type(v) is int for v in sizes)
+        suite = tiny_suite(pop=np.int64(8), gens=4.0, reps=np.uint8(2), base_seed=np.int64(42))
+        sizes = (suite.pop, suite.gens, suite.reps, suite.base_seed)
+        assert sizes == (8, 4, 2, 42) and all(type(v) is int for v in sizes)
         assert tiny_suite(gens=0).gens == 0
 
     @pytest.mark.parametrize(

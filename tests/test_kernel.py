@@ -108,6 +108,31 @@ class TestHyperparams:
     def test_zero_stiffness_allowed_when_total_positive(self):
         assert Hyperparams(k=(0.0, 1.0)).k_total == 1.0
 
+    def test_stores_every_value_as_a_float(self):
+        # a record writes them; an int would read back from JSON as a float
+        hp = Hyperparams(m=2, zeta=np.int64(1), k=(1, np.float32(0.5), "2"), q0=0, dt=np.uint8(1))
+        assert (hp.m, hp.zeta, hp.k, hp.q0, hp.dt) == (2.0, 1.0, (1.0, 0.5, 2.0), 0.0, 1.0)
+        assert all(type(v) is float for v in (hp.m, hp.zeta, hp.q0, hp.dt, *hp.k))
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("m", dict(m=True)),
+            ("zeta", dict(zeta=True)),
+            ("q0", dict(q0=False)),
+            ("dt", dict(dt=np.True_)),
+            ("k", dict(k=(1.0, True))),
+            ("m", dict(m="2")),
+            ("zeta", dict(zeta=None)),
+            ("k", dict(k=("1", "two"))),
+        ],
+    )
+    def test_rejects_values_that_are_not_numbers(self, field, kwargs):
+        value = next(iter(kwargs.values()))
+        value = value[-1] if field == "k" else value
+        with pytest.raises(ValueError, match=re.escape(f"{field}: {value!r} is not a number")):
+            Hyperparams(**kwargs)
+
 
 class TestDriftMatrix:
     def test_default_structure(self):
