@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import to_float
+
 # Differential weight of the derand1bin attractor's rand/1 donor.
 DE_WEIGHT = 0.5
 
@@ -52,7 +54,8 @@ class AttractorSpec:
             raise ValueError(
                 f"unknown attractor kind {self.kind!r}; expected one of {VALID_KINDS}"
             )
-        if not (0 <= self.stddev < np.inf):
+        object.__setattr__(self, "stddev", to_float(f"attractor spec {self.kind}: stddev", self.stddev))
+        if self.stddev < 0:
             raise ValueError(f"attractor spec {self.kind}:{self.stddev}: stddev must be finite and >= 0")
 
     @classmethod

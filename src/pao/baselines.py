@@ -10,13 +10,14 @@ literature values; the values actually used are recorded in the run's
 ``params``.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .attractors import check_pop, draw_donors, particle_mean
 from .benchmarks import Problem
 from .engine import drive, update_archive
+from .kernel import to_float, to_int
 from .records import RunRecord
 
 
@@ -32,7 +33,10 @@ class PsoConfig:
     vmax_frac: float = 0.5
 
     def __post_init__(self):
-        _check_finite(self)
+        _read_numbers(self)
+        # np.clip with crossed bounds pins every velocity to -vmax, and 0 freezes the swarm
+        if self.vmax_frac <= 0:
+            raise ValueError(f"PsoConfig.vmax_frac must be > 0, got {self.vmax_frac}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class QpsoConfig:
     alpha_end: float = 0.5
 
     def __post_init__(self):
-        _check_finite(self)
+        _read_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class DeConfig:
     cr: float = 0.9
 
     def __post_init__(self):
-        _check_finite(self)
+        _read_numbers(self)
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.cr}")
 
@@ -72,15 +76,18 @@ class SadeConfig:
     f_std: float = 0.3
 
     def __post_init__(self):
-        _check_finite(self, skip=("learning_period",))
+        _read_numbers(self)
         if self.learning_period < 1:
             raise ValueError(f"learning period must be >= 1, got {self.learning_period}")
+        for name in ("cr_std", "f_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"SadeConfig.{name} must be >= 0, got {getattr(self, name)}")
 
 
-def _check_finite(cfg, skip=()):
-    for name, value in asdict(cfg).items():
-        if name not in skip and not np.isfinite(value):
-            raise ValueError(f"{type(cfg).__name__}.{name} must be finite, got {value}")
+def _read_numbers(cfg):
+    for f in fields(cfg):
+        read = to_int if f.type is int else to_float
+        object.__setattr__(cfg, f.name, read(f"{type(cfg).__name__}.{f.name}", getattr(cfg, f.name)))
 
 
 def _schedule(start, end, swarm, generations):

@@ -12,6 +12,8 @@ from functools import partial
 
 import numpy as np
 
+from .kernel import to_float, to_int
+
 # Refined location of the Schwefel minimiser (per dimension).
 SCHWEFEL_OPT = 420.968746
 # Griewangk's printed quadratic coefficient is 1/400; the literature often uses 1/4000.
@@ -134,11 +136,13 @@ def make_problem(name: str, dim: int, griewangk_denominator: float = GRIEWANGK_D
     key = name.strip().lower()
     if key not in _CATALOG:
         raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
+    dim = to_int("dimension", dim)
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if key == "rosenbrock" and dim < 2:
         raise ValueError("rosenbrock needs dimension >= 2")
-    if not (0 < griewangk_denominator < np.inf):
+    griewangk_denominator = to_float("griewangk_denominator", griewangk_denominator)
+    if griewangk_denominator <= 0:
         raise ValueError(f"griewangk_denominator must be finite and > 0, got {griewangk_denominator}")
     half_width, batch, opt_coord = _CATALOG[key]
     if key == "griewangk":

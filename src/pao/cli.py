@@ -38,7 +38,7 @@ from .harness import (
     run_suite,
     standard_suite,
 )
-from .kernel import Hyperparams, build_kernel
+from .kernel import Hyperparams, build_kernel, to_int
 from .records import read_jsonl, write_jsonl
 
 PAO_KEYS = tuple(PaoConfig().params_dict())
@@ -77,10 +77,7 @@ def _given(args, keys) -> dict:
         if isinstance(given.get(key), str):
             given[key] = _split(given[key])
     for key in [key for key in INT_KEYS if key in given]:
-        value = given[key]
-        if type(value) is not int and not (type(value) is float and value.is_integer()):
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-        given[key] = int(value)
+        given[key] = to_int(f"config key {key!r}", given[key])
     return given
 
 

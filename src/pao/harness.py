@@ -17,6 +17,7 @@ from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
+from .kernel import to_int
 from .records import write_jsonl
 
 # optimiser id -> (module, runner name, default config type).  A runner is looked
@@ -73,9 +74,9 @@ class BenchmarkSuite:
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")
         for what in ("pop", "gens", "reps", "base_seed"):
-            object.__setattr__(self, what, _integer(what, getattr(self, what)))
+            object.__setattr__(self, what, to_int(what, getattr(self, what)))
         problems = [
-            make_problem(n, _integer(f"problem ({n!r}, {d!r}): the dimension", d), self.griewangk_denominator)
+            make_problem(n, to_int(f"problem ({n!r}, {d!r}): the dimension", d), self.griewangk_denominator)
             for n, d in self.problems
         ]
         object.__setattr__(self, "problems", tuple((p.name, p.dim) for p in problems))
@@ -101,18 +102,6 @@ class BenchmarkSuite:
 
     def config_for(self, optimizer: str):
         return getattr(self, optimizer)
-
-
-def _integer(what, value) -> int:
-    """``value`` as an int; an integral float such as 2.0 passes, 2.7 and
-    ``True`` do not."""
-    try:
-        integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def standard_suite(which: str, **overrides) -> BenchmarkSuite:

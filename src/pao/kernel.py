@@ -57,10 +57,9 @@ class Hyperparams:
         # write the same bytes; k takes numeric strings, as `kernel-info --k 1,2`
         for name in ("m", "zeta", "q0", "dt"):
             object.__setattr__(self, name, to_float(name, getattr(self, name)))
+        if isinstance(self.k, str) or not np.iterable(self.k):
+            raise ValueError(f"k must be a sequence of stiffnesses, got {self.k!r}")
         object.__setattr__(self, "k", tuple(to_float("k", v, strings=True) for v in self.k))
-        for name in ("m", "zeta", "q0", "dt", "k"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.m > 0):
             raise ValueError(f"inertia m must be > 0, got {self.m}")
         if not (self.dt > 0):
@@ -81,14 +80,30 @@ class Hyperparams:
 
 
 def to_float(what, value, strings=False) -> float:
-    """``value`` as a float.  A bool, None or other non-number raises naming
-    ``what``; where ``strings``, a numeric string passes too."""
+    """``value`` as a finite float.  A bool, None or other non-number, NaN or
+    an infinity raises naming ``what``; where ``strings``, numeric text passes."""
     if not isinstance(value, bool) and isinstance(value, (numbers.Real, str) if strings else numbers.Real):
         try:
-            return float(value)
+            value = float(value)
         except (ValueError, OverflowError):
             pass
+        else:
+            if not math.isfinite(value):
+                raise ValueError(f"{what} must be finite, got {value}")
+            return value
     raise ValueError(f"{what}: {value!r} is not a number")
+
+
+def to_int(what, value) -> int:
+    """``value`` as an int; an integral float such as 2.0 passes, 2.7 and
+    ``True`` do not."""
+    try:
+        integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def build_drift_matrix(hp: Hyperparams) -> np.ndarray:

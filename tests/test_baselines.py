@@ -1,6 +1,7 @@
 """Baseline optimiser tests: the shared run contract across PSO, QPSO, DE
 and SADE, plus algorithm-specific behaviour."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +90,34 @@ class TestConfigs:
             PsoConfig(w_start=np.inf)
         with pytest.raises(ValueError, match="finite"):
             QpsoConfig(alpha_end=np.nan)
+
+
+    @pytest.mark.parametrize("vmax_frac", [-0.5, 0.0])
+    def test_pso_velocity_clamp_must_be_positive(self, vmax_frac):
+        # a negative clamp drives the swarm to the lower faces, zero freezes it
+        with pytest.raises(ValueError, match="PsoConfig.vmax_frac must be > 0"):
+            PsoConfig(vmax_frac=vmax_frac)
+
+    @pytest.mark.parametrize("name", ["cr_std", "f_std"])
+    def test_sade_spreads_must_be_non_negative(self, name):
+        # a negative one would fail only inside the first SADE move
+        with pytest.raises(ValueError, match=f"SadeConfig.{name} must be >= 0, got -1.0"):
+            SadeConfig(**{name: -1.0})
+
+    def test_sade_spreads_may_be_zero(self):
+        assert SadeConfig(cr_std=0.0, f_std=0.0).f_std == 0.0
+
+    @pytest.mark.parametrize(
+        "runner, given, default",
+        [(run_pso, PsoConfig(c1=2, vmax_frac=np.float64(0.5)), PsoConfig()),
+         (run_qpso, QpsoConfig(alpha_start=1), QpsoConfig()),
+         (run_sade, SadeConfig(learning_period=10.0, f_mean=np.float32(0.5)), SadeConfig())],
+    )
+    def test_numbers_are_stored_as_the_defaults_are(self, runner, given, default):
+        # so a record of an equal config writes the same bytes
+        problem = make_problem("dejong", 2)
+        first, again = (runner(problem, 6, 2, cfg, seed=1).to_json_dict(include_duration=False) for cfg in (given, default))
+        assert json.dumps(first) == json.dumps(again)
 
 
 class TestPopulationFloors:

@@ -108,6 +108,10 @@ class TestValues:
         with pytest.raises(ValueError, match="griewangk_denominator"):
             make_problem("griewangk", 2, griewangk_denominator=denominator)
 
+    def test_an_integral_float_dimension_builds_an_int_dimension(self):
+        p = make_problem("dejong", 2.0)
+        assert p.dim == 2 and type(p.dim) is int and p.lower.shape == (2,)
+
     def test_rotated_matches_double_sum(self):
         rng = np.random.default_rng(5)
         p = make_problem("rotatedhyperellipsoid", 6)

@@ -101,6 +101,18 @@ class TestConfig:
         )
 
 
+    @pytest.mark.parametrize("stddev", [1, 0.5])
+    def test_stochastic_stddev_survives_the_record_round_trip(self, stddev):
+        cfg = PaoConfig(specs=(AttractorSpec("globalbest"), AttractorSpec("stochasticgaussian", stddev)))
+        assert cfg.params_dict()["attractors"][1] == f"stochasticgaussian:{float(stddev)}"
+        problem = make_problem("rastrigin", 2)
+        first = run_pao(problem, 6, 2, cfg, seed=3)
+        again = run_pao(problem, 6, 2, PaoConfig.from_params(first.params), seed=3)
+        assert json.dumps(first.to_json_dict(include_duration=False)) == json.dumps(
+            again.to_json_dict(include_duration=False)
+        )
+
+
 class TestBounds:
     lower = np.array([-1.0, 0.0])
     upper = np.array([1.0, 4.0])

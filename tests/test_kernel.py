@@ -134,6 +134,16 @@ class TestHyperparams:
             Hyperparams(**kwargs)
 
 
+    @pytest.mark.parametrize("k", ["12", 5, 2.0])
+    def test_rejects_k_that_is_not_a_sequence(self, k):
+        # a string would be read one character, one stiffness, at a time
+        with pytest.raises(ValueError, match=re.escape(f"k must be a sequence of stiffnesses, got {k!r}")):
+            Hyperparams(k=k)
+
+    def test_k_takes_a_list_of_numeric_text(self):
+        assert Hyperparams(k=["1", "2.5"]).k == (1.0, 2.5)
+
+
 class TestDriftMatrix:
     def test_default_structure(self):
         f = build_drift_matrix(Hyperparams())

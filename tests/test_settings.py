@@ -1,0 +1,79 @@
+"""Numeric settings across every config type: each reads its numbers through
+``kernel.to_float`` or ``kernel.to_int``, so the same bad value is rejected
+everywhere with a ValueError that names the setting."""
+
+import json
+import re
+
+import pytest
+
+from pao import cli
+from pao.attractors import AttractorSpec
+from pao.baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
+from pao.benchmarks import make_problem
+from pao.engine import PaoConfig
+from pao.harness import BenchmarkSuite
+from pao.kernel import Hyperparams, to_float
+
+
+def suite(**overrides):
+    kwargs = dict(problems=(("dejong", 2),), pop=8, gens=1, reps=1, optimizers=("pso",))
+    return BenchmarkSuite(**{**kwargs, **overrides})
+
+
+def cli_run(key):
+    def run(value, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "griewangk", "pop": 8, "gens": 1, key: value}))
+        cli.main(["run", "--out", str(tmp_path / "out.jsonl"), "--config", str(cfg)])
+        raise AssertionError(f"config key {key!r} = {value!r} ran")
+
+    return run
+
+
+def keyword(build, key):
+    return lambda value, tmp_path: build(**{key: value})
+
+
+# (config type and setting, builder taking the value, whether it is an integer)
+SETTINGS = [
+    *[(f"Hyperparams.{key}", keyword(Hyperparams, key), False) for key in ("m", "zeta", "q0", "dt")],
+    ("Hyperparams.k", lambda value, tmp_path: Hyperparams(k=(1.0, value)), False),
+    *[(f"from_params.{key}", lambda value, tmp_path, key=key: PaoConfig.from_params({key: value}), False)
+      for key in ("m", "zeta", "q0", "dt")],
+    *[(f"BenchmarkSuite.{key}", keyword(suite, key), True) for key in ("pop", "gens", "reps", "base_seed")],
+    ("BenchmarkSuite.griewangk_denominator", keyword(suite, "griewangk_denominator"), False),
+    ("BenchmarkSuite.dimension", lambda value, tmp_path: suite(problems=(("dejong", value),)), True),
+    *[(f"config.{key}", cli_run(key), True) for key in ("dim", "pop", "gens", "reps", "seed")],
+    ("config.griewangk_denominator", cli_run("griewangk_denominator"), False),
+    ("make_problem.dimension", lambda value, tmp_path: make_problem("dejong", value), True),
+    ("make_problem.griewangk_denominator", lambda value, tmp_path: make_problem("griewangk", 2, value), False),
+    ("AttractorSpec.stddev", lambda value, tmp_path: AttractorSpec("stochasticgaussian", value), False),
+    *[(f"{cfg.__name__}.{key}", keyword(cfg, key), False)
+      for cfg, keys in [(PsoConfig, ("w_start", "w_end", "c1", "c2", "vmax_frac")),
+                        (QpsoConfig, ("alpha_start", "alpha_end")),
+                        (DeConfig, ("f_de", "cr")),
+                        (SadeConfig, ("cr_mean", "cr_std", "f_mean", "f_std"))]
+      for key in keys],
+    ("SadeConfig.learning_period", keyword(SadeConfig, "learning_period"), True),
+]
+BAD = [True, "0.5", None, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize(
+    "setting, build, value",
+    [(setting, build, value) for setting, build, integer in SETTINGS for value in BAD + [2.5] * integer
+     # k alone takes numeric text, the CLI's comma form "1,2"
+     if not (setting == "Hyperparams.k" and value == "0.5")],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_every_config_type_rejects_the_same_bad_values(tmp_path, setting, build, value):
+    name = setting.split(".")[1]
+    with pytest.raises(ValueError, match=re.escape(name)):
+        build(value, tmp_path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "inf"])
+def test_to_float_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match=r"^x must be finite, got (nan|inf|-inf)$"):
+        to_float("x", value, strings=True)
