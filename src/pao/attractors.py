@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import to_float
+from .kernel import to_float, to_name
 
 # Differential weight of the derand1bin attractor's rand/1 donor.
 DE_WEIGHT = 0.5
@@ -49,7 +49,7 @@ class AttractorSpec:
     stddev: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", self.kind.strip().lower())
+        object.__setattr__(self, "kind", to_name("attractor kind", self.kind))
         if self.kind not in VALID_KINDS:
             raise ValueError(
                 f"unknown attractor kind {self.kind!r}; expected one of {VALID_KINDS}"
@@ -134,17 +134,22 @@ def draw_donors(n, size, rng):
     """(n, size) donor indices shared by the DE attractor and the DE/SADE
     baselines: row i holds ``size`` distinct indices from range(n) without i
     (n > size), each pick uniform over the indices not yet taken."""
-    taken = np.empty((n, size + 1), dtype=np.int64)
-    taken[:, 0] = np.arange(n)
-    for t in range(size):
-        # one of the n - 1 - t free slots, stepped past the taken indices in
-        # ascending order (a single taken index needs no sort)
-        pick = rng.integers(n - 1 - t, size=n)
-        excluded = np.sort(taken[:, : t + 1], axis=1) if t else taken[:, :1]
-        for column in excluded.T:
+    # pick t is one of the n - 1 - t free slots; one call fills the (size, n)
+    # block row by row, the draws of one rng.integers(n - 1 - t, size=n) per t
+    picks = rng.integers(np.arange(n - 1, n - 1 - size, -1)[:, None], size=(size, n))
+    # each row's taken indices in ascending order, kept so by inserting every
+    # pick with compare-exchanges; a pick steps past them in that order
+    taken = [np.arange(n)]
+    for t, pick in enumerate(picks):
+        for column in taken:
             pick += pick >= column
-        taken[:, t + 1] = pick
-    return taken[:, 1:]
+        if t == size - 1:
+            break
+        carry = pick
+        for j, column in enumerate(taken):
+            taken[j], carry = np.minimum(column, carry), np.maximum(column, carry)
+        taken.append(carry)
+    return picks.T
 
 
 def weighted_centroid(alpha, k) -> np.ndarray:

@@ -5,9 +5,12 @@ Each optimiser supplies only its move rule; ``engine.drive`` owns the run
 contract (seeded start, exactly n * (generations + 1) objective evaluations,
 monotone best-so-far history) and ``engine.update_archive`` folds every
 generation's trials into the best archives, greedily for DE and SADE.
-Trials respect the box by clipping.  Hyperparameter defaults are canonical
-literature values; the values actually used are recorded in the run's
-``params``.
+Trials respect the box by clipping (``engine.clip``).  A move's draws, in
+order and shape, are part of its records: uniforms come from ``rng.random``,
+one block per move where a move needs several arrays, which gives the bits
+of one ``rng.uniform`` call per array.  Hyperparameter defaults are
+canonical literature values; the values actually used are recorded in the
+run's ``params``.
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -16,7 +19,7 @@ import numpy as np
 
 from .attractors import check_pop, draw_donors, particle_mean
 from .benchmarks import Problem
-from .engine import drive, update_archive
+from .engine import clip, drive, update_archive
 from .kernel import to_float, to_int
 from .records import RunRecord
 
@@ -34,7 +37,7 @@ class PsoConfig:
 
     def __post_init__(self):
         _read_numbers(self)
-        # np.clip with crossed bounds pins every velocity to -vmax, and 0 freezes the swarm
+        # crossed clip bounds pin every velocity to vmax < 0, and 0 freezes the swarm
         if self.vmax_frac <= 0:
             raise ValueError(f"PsoConfig.vmax_frac must be > 0, got {self.vmax_frac}")
 
@@ -101,11 +104,10 @@ def run_pso(problem: Problem, n: int, generations: int, cfg: PsoConfig = PsoConf
     def move(swarm, rng):
         w = _schedule(cfg.w_start, cfg.w_end, swarm, generations)
         pos, vel = swarm.positions, swarm.velocities
-        r1 = rng.uniform(size=pos.shape)
-        r2 = rng.uniform(size=pos.shape)
+        r1, r2 = rng.random((2,) + pos.shape)
         vel = w * vel + cfg.c1 * r1 * (swarm.local_best_pos - pos) + cfg.c2 * r2 * (swarm.global_best_pos - pos)
-        vel = np.clip(vel, -vmax, vmax)
-        pos = np.clip(pos + vel, problem.lower, problem.upper)
+        vel = clip(vel, -vmax, vmax)
+        pos = clip(pos + vel, problem.lower, problem.upper)
         return update_archive(swarm, pos, vel, problem)[0]
 
     return drive("pso", problem, n, generations, seed, asdict(cfg), move)
@@ -116,12 +118,12 @@ def run_qpso(problem: Problem, n: int, generations: int, cfg: QpsoConfig = QpsoC
         alpha = _schedule(cfg.alpha_start, cfg.alpha_end, swarm, generations)
         pos, pbest = swarm.positions, swarm.local_best_pos
         mbest = particle_mean(pbest)
-        phi = rng.uniform(size=pos.shape)
+        phi, u, coin = rng.random((3,) + pos.shape)
         attract = phi * pbest + (1.0 - phi) * swarm.global_best_pos
-        u = np.maximum(rng.uniform(size=pos.shape), 1e-300)
-        sign = np.where(rng.uniform(size=pos.shape) < 0.5, -1.0, 1.0)
+        u = np.maximum(u, 1e-300)
+        sign = np.where(coin < 0.5, -1.0, 1.0)
         pos = attract + sign * alpha * np.abs(mbest - pos) * np.log(1.0 / u)
-        pos = np.clip(pos, problem.lower, problem.upper)
+        pos = clip(pos, problem.lower, problem.upper)
         return update_archive(swarm, pos, swarm.velocities, problem)[0]
 
     return drive("qpso", problem, n, generations, seed, asdict(cfg), move)
@@ -138,12 +140,12 @@ def _de_trials(problem, swarm, fs, crs, rng, rand1=None):
     p = pos[draw_donors(n, 3 if rand1 is None else 4, rng)]
     donors = p[:, 0] + fs * (p[:, 1] - p[:, 2])
     if rand1 is not None:
-        best = pos[int(np.argmin(swarm.fitness))]
+        best = pos[swarm.fitness.argmin()]
         to_best = pos + fs * (best - pos) + fs * (p[:, 0] - p[:, 1]) + fs * (p[:, 2] - p[:, 3])
         donors = np.where(rand1[:, None], donors, to_best)
-    cross = rng.uniform(size=(n, d)) < crs
+    cross = rng.random((n, d)) < crs
     cross[np.arange(n), rng.integers(d, size=n)] = True
-    return np.clip(np.where(cross, donors, pos), problem.lower, problem.upper)
+    return clip(np.where(cross, donors, pos), problem.lower, problem.upper)
 
 
 def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(), seed=0) -> RunRecord:
@@ -165,8 +167,8 @@ def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeC
 
     def move(swarm, rng):
         nonlocal p_rand1
-        use_rand1 = rng.uniform(size=n) < p_rand1
-        crs = np.clip(rng.normal(cfg.cr_mean, cfg.cr_std, size=n), 0.0, 1.0)
+        use_rand1 = rng.random(n) < p_rand1
+        crs = clip(rng.normal(cfg.cr_mean, cfg.cr_std, size=n), 0.0, 1.0)
         fs = rng.normal(cfg.f_mean, cfg.f_std, size=n)
         trials = _de_trials(problem, swarm, fs, crs, rng, use_rand1)
         swarm, take = update_archive(swarm, trials, swarm.velocities, problem, greedy=True)

@@ -38,13 +38,14 @@ from .harness import (
     run_suite,
     standard_suite,
 )
-from .kernel import Hyperparams, build_kernel, to_int
+from .kernel import Hyperparams, build_kernel, to_int, to_name
 from .records import read_jsonl, write_jsonl
 
 PAO_KEYS = tuple(PaoConfig().params_dict())
 RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")
 BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed", "griewangk_denominator") + PAO_KEYS
 INT_KEYS = ("dim", "pop", "gens", "reps", "seed")
+NAME_KEYS = ("optimizer", "problem")
 # list keys that a config may also give as one comma-separated string
 LIST_KEYS = ("optimizers", "attractors", "k")
 
@@ -70,14 +71,23 @@ def _check_keys(path, cfg: dict, keys, context=""):
 
 def _given(args, keys) -> dict:
     """The config file's values under the command's flags: only the values
-    the user gave, comma-separated lists split and integer keys checked."""
-    given = _load_config(args.config, keys)
-    given.update({key: v for key, v in vars(args).items() if key in keys and v is not None})
+    the user gave, comma-separated lists split, integer keys checked and
+    names checked and normalised.  A config value is checked even where a
+    flag overrides it."""
+    flags = {key: v for key, v in vars(args).items() if key in keys and v is not None}
+    return {**_read(_load_config(args.config, keys)), **_read(flags)}
+
+
+def _read(given: dict) -> dict:
     for key in LIST_KEYS:
         if isinstance(given.get(key), str):
             given[key] = _split(given[key])
     for key in [key for key in INT_KEYS if key in given]:
         given[key] = to_int(f"config key {key!r}", given[key])
+    for key in [key for key in NAME_KEYS if key in given]:
+        given[key] = to_name(f"config key {key!r}", given[key])
+    if not isinstance(given.get("out", ""), str):
+        raise ValueError(f"config key 'out' must be a path string, got {given['out']!r}")
     return given
 
 
@@ -88,7 +98,7 @@ def _split(text):
 def _cmd_run(args) -> int:
     given = _given(args, RUN_KEYS + PAO_KEYS)
     optimizer = given.get("optimizer", "pao")
-    is_pao = optimizer.strip().lower() == "pao"
+    is_pao = optimizer == "pao"
     if not is_pao:
         _check_keys(args.config, given, RUN_KEYS, f" for optimizer {optimizer!r}")
     dim = given.get("dim", 2)

@@ -131,17 +131,29 @@ def evaluate_population(problem: Problem, positions) -> np.ndarray:
     return fit
 
 
+def clip(x, lower, upper):
+    """``np.clip(x, lower, upper)`` without its Python wrapper.  The bits are
+    the same except the sign of a zero at a bound that is itself zero: a -0.0
+    clipped from below at 0.0 comes out +0.0.  No catalogue problem has a
+    zero bound."""
+    y = np.maximum(x, lower)
+    return np.minimum(y, upper, out=y)
+
+
 def apply_bounds(pos, vel, lower, upper, policy):
     """Apply the bounds policy to positions; reflect also flips velocity."""
     if policy == "none":
         return pos, vel
     if policy == "clip":
-        return np.clip(pos, lower, upper), vel
+        return clip(pos, lower, upper), vel
     # reflect: fold the position back into the box, negate the velocity of
     # every component that left it.  The rounded fold never falls below
     # lower but can pass upper by an ulp (lower -1, upper 1.5 * 2**-53),
-    # hence the minimum.
+    # hence the minimum.  A swarm wholly inside the box, most generations,
+    # is returned as it is.
     out = (pos < lower) | (pos > upper)
+    if not out.any():
+        return pos, vel
     span = upper - lower
     y = np.mod(pos - lower, 2.0 * span)
     folded = np.minimum(lower + np.where(y <= span, y, 2.0 * span - y), upper)
@@ -193,10 +205,10 @@ def update_archive(
     fitness = evaluate_population(problem, pos)
     improved = fitness < swarm.local_best_fit
     if may_leave_box:
-        improved &= np.all((pos >= problem.lower) & (pos <= problem.upper), axis=-1)
+        improved &= ((pos >= problem.lower) & (pos <= problem.upper)).all(axis=-1)
     local_best_pos = np.where(improved[:, None], pos, swarm.local_best_pos)
     local_best_fit = np.where(improved, fitness, swarm.local_best_fit)
-    best = int(np.argmin(local_best_fit))
+    best = local_best_fit.argmin()
     if local_best_fit[best] < swarm.global_best_fit:
         global_best_pos = local_best_pos[best].copy()
         global_best_fit = float(local_best_fit[best])

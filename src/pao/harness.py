@@ -17,7 +17,7 @@ from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
-from .kernel import to_int
+from .kernel import to_int, to_name
 from .records import write_jsonl
 
 # optimiser id -> (module, runner name, default config type).  A runner is looked
@@ -67,22 +67,31 @@ class BenchmarkSuite:
     sade: SadeConfig = SadeConfig()
 
     def __post_init__(self):
-        # every cell is checked here, before any run: an empty axis, a run
-        # size or base seed that is not an integer, a (problem, dim) that
-        # make_problem rejects, or a population an optimiser cannot run with
+        # every cell is checked here, before any run: an axis that is empty
+        # or not a sequence, a run size or base seed that is not an integer,
+        # a problem that is not a (name, dim) pair or that make_problem
+        # rejects, an optimiser whose config field is not its config type,
+        # or a population an optimiser cannot run with
         for what in ("optimizers", "problems"):
+            items = getattr(self, what)
+            if isinstance(items, str):
+                raise ValueError(f"{what} must be a sequence, not the string {items!r}")
+            if not np.iterable(items):
+                raise ValueError(f"{what} must be a sequence, got {items!r}")
+            object.__setattr__(self, what, tuple(items))
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")
         for what in ("pop", "gens", "reps", "base_seed"):
             object.__setattr__(self, what, to_int(what, getattr(self, what)))
+        for item in self.problems:
+            if isinstance(item, str) or not np.iterable(item) or len(item) != 2:
+                raise ValueError(f"problem {item!r} is not a (name, dim) pair")
         problems = [
             make_problem(n, to_int(f"problem ({n!r}, {d!r}): the dimension", d), self.griewangk_denominator)
             for n, d in self.problems
         ]
         object.__setattr__(self, "problems", tuple((p.name, p.dim) for p in problems))
-        object.__setattr__(
-            self, "optimizers", tuple(o.strip().lower() for o in self.optimizers)
-        )
+        object.__setattr__(self, "optimizers", tuple(to_name("optimizer", o) for o in self.optimizers))
         # a repeated cell would write runs under the ids of the first one
         for what, items in (("optimizer", self.optimizers), ("problem", self.problems)):
             for i, item in enumerate(items):
@@ -95,6 +104,9 @@ class BenchmarkSuite:
         for opt in self.optimizers:
             if opt not in OPTIMIZER_IDS:
                 raise ValueError(f"unknown optimizer {opt!r}; expected one of {OPTIMIZER_IDS}")
+            config_type, cfg = _OPTIMIZERS[opt][2], self.config_for(opt)
+            if not isinstance(cfg, config_type):
+                raise ValueError(f"suite field {opt!r} must be a {config_type.__name__}, got {cfg!r}")
             check_pop(opt, self.pop)
         if "pao" in self.optimizers:
             for spec in self.pao.specs:
@@ -106,7 +118,7 @@ class BenchmarkSuite:
 
 def standard_suite(which: str, **overrides) -> BenchmarkSuite:
     """The stock 2d / 8d / all benchmark suites over all nine problems."""
-    dims = {"2d": (2,), "8d": (8,), "all": (2, 8)}.get(which.strip().lower())
+    dims = {"2d": (2,), "8d": (8,), "all": (2, 8)}.get(to_name("suite", which))
     if dims is None:
         raise ValueError(f"unknown suite {which!r}; expected 2d, 8d or all")
     problems = tuple((name, dim) for dim in dims for name in PROBLEM_NAMES)
@@ -115,7 +127,7 @@ def standard_suite(which: str, **overrides) -> BenchmarkSuite:
 
 def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
     """Run a single optimiser under the shared run contract."""
-    opt = optimizer.strip().lower()
+    opt = to_name("optimizer", optimizer)
     if opt not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_IDS}")
     module, runner, config_type = _OPTIMIZERS[opt]

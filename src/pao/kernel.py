@@ -94,6 +94,14 @@ def to_float(what, value, strings=False) -> float:
     raise ValueError(f"{what}: {value!r} is not a number")
 
 
+def to_name(what, value) -> str:
+    """``value``, a string, stripped and lower-cased; anything else raises
+    naming ``what``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value.strip().lower()
+
+
 def to_int(what, value) -> int:
     """``value`` as an int; an integral float such as 2.0 passes, 2.7 and
     ``True`` do not."""

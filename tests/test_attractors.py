@@ -41,8 +41,9 @@ def make_swarm(positions, fitness=None, local_best_pos=None, global_best_pos=Non
 
 
 def reference_draw_donors(n, size, rng):
-    """The donor draw with a growing column stack and a sort of every taken
-    set, the form the preallocated one must reproduce index for index."""
+    """The donor draw with one ``rng.integers`` call per pick, a growing
+    column stack and a sort of every taken set, the form the block draw must
+    reproduce index for index and draw for draw."""
     taken = np.arange(n)[:, None]
     for t in range(size):
         pick = rng.integers(n - 1 - t, size=n)
@@ -269,10 +270,13 @@ class TestDonorDraw:
                     with pytest.raises(ValueError):
                         draw(n, size, np.random.default_rng(seed))
                 continue
-            got = draw_donors(n, size, np.random.default_rng(seed))
-            want = reference_draw_donors(n, size, np.random.default_rng(seed))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = draw_donors(n, size, ours)
+            want = reference_draw_donors(n, size, theirs)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+            # the one block call leaves the stream where the per-pick calls do
+            assert ours.random() == theirs.random()
 
     def test_ordered_triples_are_uniform(self):
         # chi-squared over the 24 ordered triples of each row at n = 5; 49.73

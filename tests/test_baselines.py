@@ -2,6 +2,7 @@
 and SADE, plus algorithm-specific behaviour."""
 
 import json
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,8 +20,10 @@ from pao.baselines import (
     run_sade,
 )
 from pao.benchmarks import make_problem
+from pao.engine import drive, update_archive
 
 from support import CountingProblem
+from test_attractors import reference_draw_donors
 
 RUNNERS = [
     ("pso", run_pso, PsoConfig()),
@@ -74,6 +77,115 @@ class TestRunContract:
     def test_converges_on_sphere(self, name, runner, cfg):
         rec = runner(make_problem("dejong", 2), 40, 80, cfg, seed=11)
         assert rec.final_best() < 1e-2
+
+
+# Reference move rules: one rng.uniform call per random array, np.clip, and
+# the donor draw with one call per pick.  Each optimiser's draws (their order
+# and shapes) are part of its records, so run_* must reproduce these draw for
+# draw and bit for bit.
+
+
+def _reference_schedule(start, end, swarm, generations):
+    return start + (end - start) * (swarm.generation / max(generations - 1, 1))
+
+
+def reference_run_pso(problem, n, generations, cfg, seed):
+    vmax = cfg.vmax_frac * (problem.upper - problem.lower)
+
+    def move(swarm, rng):
+        w = _reference_schedule(cfg.w_start, cfg.w_end, swarm, generations)
+        pos, vel = swarm.positions, swarm.velocities
+        r1 = rng.uniform(size=pos.shape)
+        r2 = rng.uniform(size=pos.shape)
+        vel = w * vel + cfg.c1 * r1 * (swarm.local_best_pos - pos) + cfg.c2 * r2 * (swarm.global_best_pos - pos)
+        vel = np.clip(vel, -vmax, vmax)
+        pos = np.clip(pos + vel, problem.lower, problem.upper)
+        return update_archive(swarm, pos, vel, problem)[0]
+
+    return drive("pso", problem, n, generations, seed, asdict(cfg), move)
+
+
+def reference_run_qpso(problem, n, generations, cfg, seed):
+    def move(swarm, rng):
+        alpha = _reference_schedule(cfg.alpha_start, cfg.alpha_end, swarm, generations)
+        pos, pbest = swarm.positions, swarm.local_best_pos
+        mbest = pbest.mean(axis=0)
+        phi = rng.uniform(size=pos.shape)
+        attract = phi * pbest + (1.0 - phi) * swarm.global_best_pos
+        u = np.maximum(rng.uniform(size=pos.shape), 1e-300)
+        sign = np.where(rng.uniform(size=pos.shape) < 0.5, -1.0, 1.0)
+        pos = attract + sign * alpha * np.abs(mbest - pos) * np.log(1.0 / u)
+        pos = np.clip(pos, problem.lower, problem.upper)
+        return update_archive(swarm, pos, swarm.velocities, problem)[0]
+
+    return drive("qpso", problem, n, generations, seed, asdict(cfg), move)
+
+
+def _reference_trials(problem, swarm, fs, crs, rng, rand1=None):
+    pos = swarm.positions
+    n, d = pos.shape
+    fs, crs = (np.reshape(v, (-1, 1)) for v in (fs, crs))
+    p = pos[reference_draw_donors(n, 3 if rand1 is None else 4, rng)]
+    donors = p[:, 0] + fs * (p[:, 1] - p[:, 2])
+    if rand1 is not None:
+        best = pos[int(np.argmin(swarm.fitness))]
+        to_best = pos + fs * (best - pos) + fs * (p[:, 0] - p[:, 1]) + fs * (p[:, 2] - p[:, 3])
+        donors = np.where(rand1[:, None], donors, to_best)
+    cross = rng.uniform(size=(n, d)) < crs
+    cross[np.arange(n), rng.integers(d, size=n)] = True
+    return np.clip(np.where(cross, donors, pos), problem.lower, problem.upper)
+
+
+def reference_run_de(problem, n, generations, cfg, seed):
+    def move(swarm, rng):
+        trials = _reference_trials(problem, swarm, cfg.f_de, cfg.cr, rng)
+        return update_archive(swarm, trials, swarm.velocities, problem, greedy=True)[0]
+
+    return drive("de", problem, n, generations, seed, asdict(cfg), move)
+
+
+def reference_run_sade(problem, n, generations, cfg, seed):
+    state = {"p_rand1": 0.5, "ns": np.zeros(2), "nf": np.zeros(2)}
+
+    def move(swarm, rng):
+        ns, nf = state["ns"], state["nf"]
+        use_rand1 = rng.uniform(size=n) < state["p_rand1"]
+        crs = np.clip(rng.normal(cfg.cr_mean, cfg.cr_std, size=n), 0.0, 1.0)
+        fs = rng.normal(cfg.f_mean, cfg.f_std, size=n)
+        trials = _reference_trials(problem, swarm, fs, crs, rng, use_rand1)
+        swarm, take = update_archive(swarm, trials, swarm.velocities, problem, greedy=True)
+        for s, used in enumerate((use_rand1, ~use_rand1)):
+            ns[s] += np.count_nonzero(take & used)
+            nf[s] += np.count_nonzero(~take & used)
+        if swarm.generation % cfg.learning_period == 0:
+            denom = ns[0] * (ns[1] + nf[1]) + ns[1] * (ns[0] + nf[0])
+            if denom > 0:
+                state["p_rand1"] = ns[0] * (ns[1] + nf[1]) / denom
+            ns[:] = 0.0
+            nf[:] = 0.0
+        return swarm
+
+    return drive("sade", problem, n, generations, seed, asdict(cfg), move)
+
+
+@pytest.mark.parametrize(
+    "runner, reference, cfg",
+    [(run_pso, reference_run_pso, PsoConfig()),
+     (run_qpso, reference_run_qpso, QpsoConfig()),
+     (run_de, reference_run_de, DeConfig()),
+     (run_sade, reference_run_sade, SadeConfig())],
+    ids=["pso", "qpso", "de", "sade"],
+)
+@pytest.mark.parametrize("problem", ["rastrigin", "schwefel"])
+@pytest.mark.parametrize("dim", [2, 8])
+def test_runs_match_the_reference_move_rules(runner, reference, cfg, problem, dim):
+    problem = make_problem(problem, dim)
+    for seed in range(3):
+        got, want = (run(problem, 30, 40, cfg, seed) for run in (runner, reference))
+        assert json.dumps(got.to_json_dict(include_duration=False)) == json.dumps(
+            want.to_json_dict(include_duration=False)
+        )
+        assert b"".join(p.tobytes() for p in got.best_pos) == b"".join(p.tobytes() for p in want.best_pos)
 
 
 class TestConfigs:

@@ -113,6 +113,15 @@ class TestConfig:
         )
 
 
+def reference_reflect(pos, vel, lower, upper):
+    """The reflect pass with no shortcut for a swarm inside the box."""
+    out = (pos < lower) | (pos > upper)
+    span = upper - lower
+    y = np.mod(pos - lower, 2.0 * span)
+    folded = np.minimum(lower + np.where(y <= span, y, 2.0 * span - y), upper)
+    return np.where(out, folded, pos), np.where(out, -vel, vel)
+
+
 class TestBounds:
     lower = np.array([-1.0, 0.0])
     upper = np.array([1.0, 4.0])
@@ -162,6 +171,22 @@ class TestBounds:
         p, v = apply_bounds(pos, np.ones_like(pos), lower, upper, "reflect")
         assert lower[0] <= p[0, 0] <= upper[0]
         np.testing.assert_array_equal(v, [[-1.0]])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_reflect_matches_the_full_pass(self, seed):
+        # an in-box swarm comes back as it was, and one element outside is
+        # folded as the pass that folds every swarm folds it, bit for bit
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(self.lower, self.upper, size=(16, 2))
+        vel = rng.normal(size=(16, 2))
+        p, v = apply_bounds(pos, vel, self.lower, self.upper, "reflect")
+        assert p.tobytes() == pos.tobytes() and v.tobytes() == vel.tobytes()
+        pos[rng.integers(16), rng.integers(2)] = rng.choice([-1.0, 1.0]) * rng.uniform(4.5, 30.0)
+        got = apply_bounds(pos, vel, self.lower, self.upper, "reflect")
+        want = reference_reflect(pos, vel, self.lower, self.upper)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert (got[0] != pos).sum() == 1 and (got[1] != vel).sum() == 1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)

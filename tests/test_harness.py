@@ -81,6 +81,29 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="unknown optimizer"):
             tiny_suite(optimizers=("pao", "cmaes"))
 
+    @pytest.mark.parametrize("opt", OPTIMIZER_IDS)
+    def test_rejects_a_config_of_another_type(self, opt):
+        # checked before any run, not in the optimiser's first cell
+        other = "pso" if opt == "de" else "de"
+        with pytest.raises(ValueError, match=re.escape(f"suite field {other!r} must be a ")):
+            tiny_suite(optimizers=(opt, other), **{other: {"c1": 1.0}})
+
+    @pytest.mark.parametrize(
+        "axes, error",
+        [(dict(optimizers="pso"), "optimizers must be a sequence, not the string 'pso'"),
+         (dict(problems="dejong"), "problems must be a sequence, not the string 'dejong'"),
+         (dict(optimizers=5), "optimizers must be a sequence, got 5"),
+         (dict(problems=("dejong", 2)), "problem 'dejong' is not a (name, dim) pair"),
+         (dict(problems=(("dejong", 2, 3),)), "problem ('dejong', 2, 3) is not a (name, dim) pair")],
+    )
+    def test_rejects_axes_of_the_wrong_shape(self, axes, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            tiny_suite(**axes)
+
+    def test_axes_may_be_any_sequence(self):
+        suite = tiny_suite(optimizers=["pso"], problems=[["dejong", 2]])
+        assert suite.optimizers == ("pso",) and suite.problems == (("dejong", 2),)
+
     def test_rejects_bad_reps(self):
         with pytest.raises(ValueError, match="repetitions"):
             tiny_suite(reps=0)

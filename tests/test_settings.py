@@ -1,6 +1,7 @@
-"""Numeric settings across every config type: each reads its numbers through
-``kernel.to_float`` or ``kernel.to_int``, so the same bad value is rejected
-everywhere with a ValueError that names the setting."""
+"""Settings across every config type: each reads its numbers through
+``kernel.to_float`` or ``kernel.to_int`` and its names through
+``kernel.to_name``, so the same bad value is rejected everywhere with a
+ValueError that names the setting."""
 
 import json
 import re
@@ -12,7 +13,7 @@ from pao.attractors import AttractorSpec
 from pao.baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from pao.benchmarks import make_problem
 from pao.engine import PaoConfig
-from pao.harness import BenchmarkSuite
+from pao.harness import BenchmarkSuite, run_one, standard_suite
 from pao.kernel import Hyperparams, to_float
 
 
@@ -77,3 +78,38 @@ def test_every_config_type_rejects_the_same_bad_values(tmp_path, setting, build,
 def test_to_float_rejects_non_finite_values(value):
     with pytest.raises(ValueError, match=r"^x must be finite, got (nan|inf|-inf)$"):
         to_float("x", value, strings=True)
+
+
+# (what the error names, builder taking the value) for every name setting
+NAME_SETTINGS = [
+    ("config key 'optimizer'", cli_run("optimizer")),
+    ("config key 'problem'", cli_run("problem")),
+    ("attractor kind", lambda value, tmp_path: AttractorSpec(value)),
+    ("problem name", lambda value, tmp_path: make_problem(value, 2)),
+    ("optimizer", lambda value, tmp_path: suite(optimizers=("pso", value))),
+    ("optimizer", lambda value, tmp_path: run_one(value, make_problem("dejong", 2), 8, 1, 0)),
+    ("suite", lambda value, tmp_path: standard_suite(value)),
+]
+
+
+@pytest.mark.parametrize("what, build", NAME_SETTINGS, ids=[what for what, _ in NAME_SETTINGS])
+@pytest.mark.parametrize("value", [5, None, 2.5, True, ["pso"]], ids=repr)
+def test_every_name_setting_rejects_a_non_string(tmp_path, what, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be a string, got {value!r}")):
+        build(value, tmp_path)
+
+
+def test_config_out_must_be_a_path(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pop": 8, "gens": 1, "out": 5}))
+    with pytest.raises(ValueError, match=re.escape("config key 'out' must be a path string, got 5")):
+        cli.main(["run", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("key, value", [("problem", 5), ("optimizer", None), ("pop", 2.5)])
+def test_a_config_value_is_checked_where_a_flag_overrides_it(tmp_path, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gens": 1, key: value}))
+    flag = {"problem": "griewangk", "optimizer": "pso", "pop": "8"}[key]
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r}")):
+        cli.main(["run", f"--{key}", flag, "--config", str(cfg)])
