@@ -141,11 +141,14 @@ def clip(x, lower, upper):
 
 
 def apply_bounds(pos, vel, lower, upper, policy):
-    """Apply the bounds policy to positions; reflect also flips velocity."""
+    """Apply the bounds policy to positions; reflect also flips velocity.
+    A policy not in ``BOUNDS_POLICIES`` raises ``ValueError``."""
     if policy == "none":
         return pos, vel
     if policy == "clip":
         return clip(pos, lower, upper), vel
+    if policy != "reflect":
+        raise ValueError(f"bounds policy must be one of {BOUNDS_POLICIES}, got {policy!r}")
     # reflect: fold the position back into the box, negate the velocity of
     # every component that left it.  The rounded fold never falls below
     # lower but can pass upper by an ulp (lower -1, upper 1.5 * 2**-53),
@@ -258,9 +261,11 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
     Seeds one generator, starts the population (``start(rng)``, by default
     uniform in the box with zero velocities), then applies ``move(swarm,
     rng)`` ``generations`` times, logging the best-so-far after each
-    generation.  Every evaluation goes through :func:`update_archive`, so a
-    run uses exactly n * (generations + 1) of them.  Beside the history the
-    record keeps, in memory only, each generation's best position.
+    generation.  The start evaluates the n starting positions (in
+    ``_start_swarm``) and each generation's n trials go through
+    :func:`update_archive`, so a run uses exactly n * (generations + 1)
+    evaluations.  Beside the history the record keeps, in memory only, each
+    generation's best position.
     """
     if generations < 0:
         raise ValueError(f"generations must be >= 0, got {generations}")

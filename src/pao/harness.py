@@ -126,12 +126,21 @@ def standard_suite(which: str, **overrides) -> BenchmarkSuite:
 
 
 def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
-    """Run a single optimiser under the shared run contract."""
+    """Run a single optimiser under the shared run contract.
+
+    ``cfg`` defaults to the optimiser's default config and must otherwise be
+    of its config type; ``n`` and ``generations`` are read as integers.
+    """
     opt = to_name("optimizer", optimizer)
     if opt not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_IDS}")
     module, runner, config_type = _OPTIMIZERS[opt]
-    return getattr(module, runner)(problem, n, generations, cfg or config_type(), seed)
+    if cfg is None:
+        cfg = config_type()
+    elif not isinstance(cfg, config_type):
+        raise ValueError(f"optimizer {opt!r} takes a {config_type.__name__}, got {cfg!r}")
+    n, generations = to_int("population size", n), to_int("generations", generations)
+    return getattr(module, runner)(problem, n, generations, cfg, seed)
 
 
 def run_cell(optimizer: str, problem, n: int, generations: int, seeds, cfg=None) -> list:
@@ -200,18 +209,20 @@ def run_suite(suite: BenchmarkSuite, out_path) -> dict:
     return summary
 
 
-def _group_key(rec):
-    return (rec.optimizer, rec.problem, rec.dim)
+def _cells(records) -> dict:
+    """The records of each (optimiser, problem, dim) cell, in input order."""
+    cells = {}
+    for rec in records:
+        cells.setdefault((rec.optimizer, rec.problem, rec.dim), []).append(rec)
+    return cells
 
 
 def summarize(records) -> dict:
     """Median / mean / stddev of the final shifted best per (optimiser, problem)."""
-    groups = {}
-    for rec in records:
-        groups.setdefault(_group_key(rec), []).append(rec.final_shifted_best())
+    cells = _cells(records)
     entries = []
-    for (opt, prob, dim) in sorted(groups, key=lambda k: (k[1], k[2], _opt_rank(k[0]))):
-        finals = np.array(sorted(groups[(opt, prob, dim)]))
+    for (opt, prob, dim) in sorted(cells, key=lambda k: (k[1], k[2], _opt_rank(k[0]))):
+        finals = np.array(sorted(rec.final_shifted_best() for rec in cells[(opt, prob, dim)]))
         entries.append(
             {
                 "optimizer": opt,
@@ -231,30 +242,25 @@ def _opt_rank(opt):
 
 
 def aggregate_convergence(records) -> dict:
-    """Per-(optimiser, problem) convergence curves over generations.
+    """Mean convergence curve per (optimiser, problem, dim) cell.
 
-    Returns, per group, the arithmetic mean of the shifted best fitness per
-    generation plus the median and interquartile band.  Records are sorted
-    by run id before stacking so the result is independent of input order.
+    Returns, per cell, ``{"generation": [...], "mean": [...]}``: the
+    arithmetic mean over the cell's runs of the shifted best fitness at each
+    generation.  Records are sorted by run id before stacking so the result
+    is independent of input order.
     """
     if not records:
         raise ValueError("no records to aggregate")
     horizons = {rec.gens for rec in records}
     if len(horizons) > 1:
         raise ValueError(f"records have mismatched generation horizons: {sorted(horizons)}")
-    groups = {}
-    for rec in records:
-        groups.setdefault(_group_key(rec), []).append(rec)
     curves = {}
-    for key, recs in groups.items():
+    for key, recs in _cells(records).items():
         recs = sorted(recs, key=lambda r: r.run_id)
         data = np.array([[h["shifted_best"] for h in r.history] for r in recs])
         curves[key] = {
             "generation": [h["g"] for h in recs[0].history],
             "mean": data.mean(axis=0).tolist(),
-            "median": np.median(data, axis=0).tolist(),
-            "q25": np.quantile(data, 0.25, axis=0).tolist(),
-            "q75": np.quantile(data, 0.75, axis=0).tolist(),
         }
     return curves
 

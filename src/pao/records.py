@@ -86,15 +86,22 @@ def write_jsonl(records, path):
 
 def read_jsonl(path):
     """Read records written by :func:`write_jsonl`; a missing ``params`` or
-    ``duration_ms`` takes the field's default, and a line missing any other
-    field raises ``ValueError`` naming the file, the line and the keys."""
+    ``duration_ms`` takes the field's default.  A line that is not a JSON
+    object (a truncated last line, as a killed run leaves, or any other
+    value) or that lacks any other field raises ``ValueError`` naming the
+    file and the line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}, line {lineno}: not JSON ({err})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}, line {lineno}: not a JSON object: {line[:80]}")
             missing = [key for key in _REQUIRED_FIELDS if key not in obj]
             if missing:
                 raise ValueError(f"{path}, line {lineno}: record lacks the keys {missing}")

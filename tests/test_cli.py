@@ -305,6 +305,18 @@ class TestBenchAndPlotData:
         assert "no records" in proc.stderr
         assert proc.stdout == ""
 
+    def test_plot_data_of_a_truncated_records_file_names_the_line(self, tmp_path):
+        # the records file of a run killed while writing its second line
+        rec = run_one("pso", make_problem("dejong", 2), 4, 1, seed=0)
+        (tmp_path / "records.jsonl").write_text(json.dumps(rec.to_json_dict()) + '\n{"run_id": ')
+        proc = subprocess.run(
+            [sys.executable, "-m", "pao.cli", "plot-data", "--in", str(tmp_path), "--out", str(tmp_path / "plots")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert re.search(r"ValueError: \S*records\.jsonl, line 2: not JSON", proc.stderr)
+        assert proc.stdout == "" and not (tmp_path / "plots").exists()
+
 
 class TestEntryPoint:
     def test_console_script_help(self):

@@ -164,6 +164,14 @@ class TestBounds:
         assert np.all(p >= self.lower - 1e-12)
         assert np.all(p <= self.upper + 1e-12)
 
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_unknown_policy_rejected(self, inside):
+        # a policy PaoConfig would refuse is refused on a direct call too,
+        # also for a swarm that reflect would return as it is
+        pos = np.array([[0.5, 2.0]]) if inside else np.array([[5.0, -3.0]])
+        with pytest.raises(ValueError, match="bounds policy must be one of .*got 'clamp'"):
+            apply_bounds(pos, np.zeros_like(pos), self.lower, self.upper, "clamp")
+
     def test_reflect_lands_inside_where_the_rounded_fold_overshoots(self):
         # lower + (pos - lower) rounds to 2**-52, one ulp above this upper
         lower, upper = np.array([-1.0]), np.array([1.5 * 2.0**-53])

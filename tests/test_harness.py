@@ -229,6 +229,24 @@ class TestRunOne:
             run_one("cmaes", make_problem("dejong", 2), 8, 3, seed=1)
 
     @pytest.mark.parametrize(
+        "opt, cfg, config_type",
+        [("pso", DeConfig(), "PsoConfig"), ("pao", PsoConfig(), "PaoConfig"), ("de", {"cr": 0.7}, "DeConfig")],
+    )
+    def test_rejects_a_config_of_another_type(self, opt, cfg, config_type):
+        with pytest.raises(ValueError, match=f"optimizer '{opt}' takes a {config_type}, got "):
+            run_one(opt, make_problem("dejong", 2), 8, 3, 0, cfg)
+
+    def test_reads_sizes_as_integers(self):
+        problem = make_problem("dejong", 2)
+        rec = run_one("pso", problem, 8.0, 3.0, 0)
+        assert (rec.pop, rec.gens, len(rec.history)) == (8, 3, 4)
+        assert type(rec.pop) is int and type(rec.gens) is int
+        assert rec.to_json_dict(False) == run_one("pso", problem, 8, 3, 0).to_json_dict(False)
+        for what, args in (("population size", (True, 3)), ("generations", (8, True)), ("generations", (8, 2.5))):
+            with pytest.raises(ValueError, match=f"{what} must be an integer"):
+                run_one("pso", problem, *args, 0)
+
+    @pytest.mark.parametrize(
         "opt, module, runner, config_type",
         [("pao", engine, "run_pao", PaoConfig), ("de", baselines, "run_de", DeConfig)],
     )
@@ -382,10 +400,10 @@ class TestAggregation:
         assert set(curves) == {
             (opt, prob, 2) for opt in ("pao", "de") for prob in ("dejong", "rastrigin")
         }
+        assert all(set(curve) == {"generation", "mean"} for curve in curves.values())
         curve = curves[("pao", "dejong", 2)]
         assert curve["generation"] == [0, 1, 2, 3, 4]
         assert len(curve["mean"]) == 5
-        assert all(q25 <= q75 for q25, q75 in zip(curve["q25"], curve["q75"]))
 
     def test_permutation_invariance(self, tmp_path):
         records = self.run_records(tmp_path)

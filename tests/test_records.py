@@ -1,6 +1,7 @@
 """Run-record schema and JSONL round-trip tests."""
 
 import json
+import re
 
 import pytest
 
@@ -97,6 +98,23 @@ class TestJsonl:
             f"{path}, line 3: record lacks the keys "
             "['run_id', 'problem', 'dim', 'seed', 'pop', 'gens', 'evals', 'history']"
         )
+
+    def test_read_names_file_and_line_of_a_truncated_line(self, tmp_path):
+        # a killed run leaves its last line cut short
+        path = tmp_path / "records.jsonl"
+        write_jsonl([make_record(), make_record(run_id="y")], path)
+        text = path.read_text()
+        path.write_text(text[: text.index("\n") + 12])
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: not JSON")):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"run"', "null"])
+    def test_read_names_file_and_line_of_a_non_object(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        write_jsonl([make_record()], path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: not a JSON object: {line}")):
+            read_jsonl(path)
 
     def test_read_defaults_params_and_duration(self, tmp_path):
         path = tmp_path / "records.jsonl"
