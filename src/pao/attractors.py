@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import to_float, to_name
+from .kernel import read_fields, setting, to_name
 
 # Differential weight of the derand1bin attractor's rand/1 donor.
 DE_WEIGHT = 0.5
@@ -46,7 +46,7 @@ class AttractorSpec:
     """One attractor rule; ``stddev`` applies to stochasticgaussian only."""
 
     kind: str
-    stddev: float = 1.0
+    stddev: float = setting(1.0, ">= 0")
 
     def __post_init__(self):
         object.__setattr__(self, "kind", to_name("attractor kind", self.kind))
@@ -54,9 +54,7 @@ class AttractorSpec:
             raise ValueError(
                 f"unknown attractor kind {self.kind!r}; expected one of {VALID_KINDS}"
             )
-        object.__setattr__(self, "stddev", to_float(f"attractor spec {self.kind}: stddev", self.stddev))
-        if self.stddev < 0:
-            raise ValueError(f"attractor spec {self.kind}:{self.stddev}: stddev must be finite and >= 0")
+        read_fields(self, f"attractor spec {self.kind}: ")
 
     @classmethod
     def parse(cls, text: str) -> "AttractorSpec":

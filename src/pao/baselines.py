@@ -13,14 +13,14 @@ canonical literature values; the values actually used are recorded in the
 run's ``params``.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attractors import check_pop, draw_donors, particle_mean
 from .benchmarks import Problem
 from .engine import clip, drive, update_archive
-from .kernel import to_float, to_int
+from .kernel import read_fields, setting
 from .records import RunRecord
 
 
@@ -33,13 +33,11 @@ class PsoConfig:
     w_end: float = 0.4
     c1: float = 2.0
     c2: float = 2.0
-    vmax_frac: float = 0.5
+    # crossed clip bounds pin every velocity to vmax < 0, and 0 freezes the swarm
+    vmax_frac: float = setting(0.5, "> 0")
 
     def __post_init__(self):
-        _read_numbers(self)
-        # crossed clip bounds pin every velocity to vmax < 0, and 0 freezes the swarm
-        if self.vmax_frac <= 0:
-            raise ValueError(f"PsoConfig.vmax_frac must be > 0, got {self.vmax_frac}")
+        read_fields(self, "PsoConfig.")
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class QpsoConfig:
     alpha_end: float = 0.5
 
     def __post_init__(self):
-        _read_numbers(self)
+        read_fields(self, "QpsoConfig.")
 
 
 @dataclass(frozen=True)
@@ -59,12 +57,10 @@ class DeConfig:
     """rand/1/bin differential evolution with greedy selection."""
 
     f_de: float = 0.5
-    cr: float = 0.9
+    cr: float = setting(0.9, "in [0, 1]")
 
     def __post_init__(self):
-        _read_numbers(self)
-        if not 0.0 <= self.cr <= 1.0:
-            raise ValueError(f"crossover rate must be in [0, 1], got {self.cr}")
+        read_fields(self, "DeConfig.")
 
 
 @dataclass(frozen=True)
@@ -72,25 +68,14 @@ class SadeConfig:
     """Self-adaptive DE: two-strategy pool with success-history strategy
     probabilities, per-individual CR and F drawn from normals."""
 
-    learning_period: int = 10
+    learning_period: int = setting(10, ">= 1")
     cr_mean: float = 0.5
-    cr_std: float = 0.1
+    cr_std: float = setting(0.1, ">= 0")
     f_mean: float = 0.5
-    f_std: float = 0.3
+    f_std: float = setting(0.3, ">= 0")
 
     def __post_init__(self):
-        _read_numbers(self)
-        if self.learning_period < 1:
-            raise ValueError(f"learning period must be >= 1, got {self.learning_period}")
-        for name in ("cr_std", "f_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"SadeConfig.{name} must be >= 0, got {getattr(self, name)}")
-
-
-def _read_numbers(cfg):
-    for f in fields(cfg):
-        read = to_int if f.type is int else to_float
-        object.__setattr__(cfg, f.name, read(f"{type(cfg).__name__}.{f.name}", getattr(cfg, f.name)))
+        read_fields(self, "SadeConfig.")
 
 
 def _schedule(start, end, swarm, generations):

@@ -143,7 +143,7 @@ def make_problem(name: str, dim: int, griewangk_denominator: float = GRIEWANGK_D
         raise ValueError("rosenbrock needs dimension >= 2")
     griewangk_denominator = to_float("griewangk_denominator", griewangk_denominator)
     if griewangk_denominator <= 0:
-        raise ValueError(f"griewangk_denominator must be finite and > 0, got {griewangk_denominator}")
+        raise ValueError(f"griewangk_denominator must be > 0, got {griewangk_denominator}")
     half_width, batch, opt_coord = _CATALOG[key]
     if key == "griewangk":
         batch = partial(batch, denominator=griewangk_denominator)

@@ -110,7 +110,7 @@ def _cmd_run(args) -> int:
     seed = given.get("seed", BenchmarkSuite.base_seed)
     reps = given.get("reps", 1)
     if reps < 1:
-        raise ValueError(f"repetitions must be >= 1, got {reps}")
+        raise ValueError(f"reps must be >= 1, got {reps}")
     cfg = PaoConfig.from_params({key: given[key] for key in PAO_KEYS if key in given}) if is_pao else None
     records = run_cell(optimizer, problem, pop, gens, [derive_seed(seed, rep) for rep in range(reps)], cfg)
     if "out" in given:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .attractors import AttractorSpec, compute_attractors, noise_scale, weighted_centroid
 from .benchmarks import Problem, shift_to_zero
-from .kernel import Hyperparams, TransitionKernel, build_kernel, sample_transition, to_float
+from .kernel import Hyperparams, TransitionKernel, build_kernel, read_fields, sample_transition, setting, to_float, to_int
 from .records import RunRecord, history_entry
 
 BOUNDS_POLICIES = ("none", "clip", "reflect")
@@ -61,22 +61,22 @@ class PaoConfig:
 
     hp: Hyperparams = Hyperparams()
     specs: tuple = (AttractorSpec("localbest"), AttractorSpec("globalbest"))
-    bounds_policy: str = "clip"
-    velocity_init: str = "zero"
+    bounds_policy: str = setting("clip", BOUNDS_POLICIES)
+    velocity_init: str = setting("zero", VELOCITY_INITS)
 
     def __post_init__(self):
+        read_fields(self)
+        if not isinstance(self.hp, Hyperparams):
+            raise ValueError(f"hp must be a Hyperparams, got {self.hp!r}")
+        if isinstance(self.specs, str) or not np.iterable(self.specs):
+            raise ValueError(f"specs must be a sequence of AttractorSpecs, got {self.specs!r}")
         object.__setattr__(self, "specs", tuple(self.specs))
+        for spec in self.specs:
+            if not isinstance(spec, AttractorSpec):
+                raise ValueError(f"specs must be AttractorSpecs, got {spec!r}")
         if len(self.specs) != len(self.hp.k):
             raise ValueError(
                 f"{len(self.specs)} attractor specs but {len(self.hp.k)} stiffnesses"
-            )
-        if self.bounds_policy not in BOUNDS_POLICIES:
-            raise ValueError(
-                f"bounds_policy must be one of {BOUNDS_POLICIES}, got {self.bounds_policy!r}"
-            )
-        if self.velocity_init not in VELOCITY_INITS:
-            raise ValueError(
-                f"velocity_init must be one of {VELOCITY_INITS}, got {self.velocity_init!r}"
             )
 
     def params_dict(self) -> dict:
@@ -269,6 +269,9 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
     """
     if generations < 0:
         raise ValueError(f"generations must be >= 0, got {generations}")
+    seed = to_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     record = RunRecord(
@@ -276,7 +279,7 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
         optimizer=optimizer,
         problem=problem.name,
         dim=problem.dim,
-        seed=int(seed),
+        seed=seed,
         pop=n,
         gens=generations,
         evals=n * (generations + 1),

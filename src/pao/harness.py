@@ -17,7 +17,7 @@ from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
-from .kernel import to_int, to_name
+from .kernel import read_fields, setting, to_int, to_name
 from .records import write_jsonl
 
 # optimiser id -> (module, runner name, default config type).  A runner is looked
@@ -55,11 +55,11 @@ class BenchmarkSuite:
 
     problems: tuple
     pop: int = 100
-    gens: int = 100
-    reps: int = 20
+    gens: int = setting(100, ">= 0")
+    reps: int = setting(20, ">= 1")
     optimizers: tuple = OPTIMIZER_IDS
     base_seed: int = 0
-    griewangk_denominator: float = GRIEWANGK_DENOMINATOR
+    griewangk_denominator: float = setting(GRIEWANGK_DENOMINATOR, "> 0")
     pao: PaoConfig = PaoConfig()
     pso: PsoConfig = PsoConfig()
     qpso: QpsoConfig = QpsoConfig()
@@ -68,7 +68,7 @@ class BenchmarkSuite:
 
     def __post_init__(self):
         # every cell is checked here, before any run: an axis that is empty
-        # or not a sequence, a run size or base seed that is not an integer,
+        # or not a sequence, a number setting read_fields refuses,
         # a problem that is not a (name, dim) pair or that make_problem
         # rejects, an optimiser whose config field is not its config type,
         # or a population an optimiser cannot run with
@@ -81,8 +81,7 @@ class BenchmarkSuite:
             object.__setattr__(self, what, tuple(items))
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")
-        for what in ("pop", "gens", "reps", "base_seed"):
-            object.__setattr__(self, what, to_int(what, getattr(self, what)))
+        read_fields(self)
         for item in self.problems:
             if isinstance(item, str) or not np.iterable(item) or len(item) != 2:
                 raise ValueError(f"problem {item!r} is not a (name, dim) pair")
@@ -97,10 +96,6 @@ class BenchmarkSuite:
             for i, item in enumerate(items):
                 if item in items[:i]:
                     raise ValueError(f"duplicate {what} {item!r} in the suite")
-        if self.reps < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.reps}")
-        if self.gens < 0:
-            raise ValueError(f"generations must be >= 0, got {self.gens}")
         for opt in self.optimizers:
             if opt not in OPTIMIZER_IDS:
                 raise ValueError(f"unknown optimizer {opt!r}; expected one of {OPTIMIZER_IDS}")

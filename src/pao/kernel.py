@@ -21,7 +21,7 @@ whose unit precision and log-normaliser the kernel holds.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,50 +33,6 @@ _EYE4 = np.eye(4)
 
 class DegenerateCovariance(ValueError):
     """The requested Gaussian density has a singular covariance."""
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Dynamics hyperparameters of the particle oscillator.
-
-    m     inertia coefficient (> 0)
-    zeta  damping ratio (>= 0); < 1 underdamped, 1 critical, > 1 overdamped
-    k     stiffness weight per attractor (each >= 0, sum > 0)
-    q0    stochastic scale multiplying the swarm noise function (>= 0)
-    dt    integration interval of one generation (> 0)
-    """
-
-    m: float = 1.0
-    zeta: float = 0.2
-    k: tuple = (1.0, 1.0)
-    q0: float = 1.0
-    dt: float = 1.0
-
-    def __post_init__(self):
-        # floats, so a record's params read back through PaoConfig.from_params
-        # write the same bytes; k takes numeric strings, as `kernel-info --k 1,2`
-        for name in ("m", "zeta", "q0", "dt"):
-            object.__setattr__(self, name, to_float(name, getattr(self, name)))
-        if isinstance(self.k, str) or not np.iterable(self.k):
-            raise ValueError(f"k must be a sequence of stiffnesses, got {self.k!r}")
-        object.__setattr__(self, "k", tuple(to_float("k", v, strings=True) for v in self.k))
-        if not (self.m > 0):
-            raise ValueError(f"inertia m must be > 0, got {self.m}")
-        if not (self.dt > 0):
-            raise ValueError(f"interval dt must be > 0, got {self.dt}")
-        if self.zeta < 0:
-            raise ValueError(f"damping ratio zeta must be >= 0, got {self.zeta}")
-        if self.q0 < 0:
-            raise ValueError(f"stochastic scale q0 must be >= 0, got {self.q0}")
-        if any(v < 0 for v in self.k):
-            raise ValueError(f"stiffnesses must be >= 0, got {self.k}")
-        if not (self.k_total > 0):
-            raise ValueError("at least one stiffness must be strictly positive")
-
-    @property
-    def k_total(self) -> float:
-        """Combined stiffness k' of the equivalent single spring."""
-        return float(sum(self.k))
 
 
 def to_float(what, value, strings=False) -> float:
@@ -112,6 +68,75 @@ def to_int(what, value) -> int:
     if not integral:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+# domain -> test a read value must pass
+_DOMAINS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def setting(default, domain):
+    """A dataclass field whose values :func:`read_fields` checks: ``domain``
+    is one of ``"> 0"``, ``">= 0"``, ``">= 1"``, ``"in [0, 1]"``, or a
+    tuple of the allowed values."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def read_fields(obj, prefix=""):
+    """Read every ``int`` or ``float`` field of the dataclass ``obj`` in place
+    through :func:`to_int` or :func:`to_float`, then check every field that
+    declares a domain with :func:`setting`.  Errors name ``prefix`` plus the
+    field name."""
+    for f in fields(obj):
+        label, value = prefix + f.name, getattr(obj, f.name)
+        if f.type in (int, float):
+            value = (to_int if f.type is int else to_float)(label, value)
+            object.__setattr__(obj, f.name, value)
+        domain = f.metadata.get("domain")
+        if isinstance(domain, tuple):
+            if value not in domain:
+                raise ValueError(f"{label} must be one of {domain}, got {value!r}")
+        elif domain is not None and not _DOMAINS[domain](value):
+            raise ValueError(f"{label} must be {domain}, got {value}")
+
+
+@dataclass(frozen=True)
+class Hyperparams:
+    """Dynamics hyperparameters of the particle oscillator.
+
+    m     inertia coefficient (> 0)
+    zeta  damping ratio (>= 0); < 1 underdamped, 1 critical, > 1 overdamped
+    k     stiffness weight per attractor (each >= 0, sum > 0)
+    q0    stochastic scale multiplying the swarm noise function (>= 0)
+    dt    integration interval of one generation (> 0)
+    """
+
+    m: float = setting(1.0, "> 0")
+    zeta: float = setting(0.2, ">= 0")
+    k: tuple = (1.0, 1.0)
+    q0: float = setting(1.0, ">= 0")
+    dt: float = setting(1.0, "> 0")
+
+    def __post_init__(self):
+        # floats, so a record's params read back through PaoConfig.from_params
+        # write the same bytes; k takes numeric strings, as `kernel-info --k 1,2`
+        read_fields(self)
+        if isinstance(self.k, str) or not np.iterable(self.k):
+            raise ValueError(f"k must be a sequence of stiffnesses, got {self.k!r}")
+        object.__setattr__(self, "k", tuple(to_float("k", v, strings=True) for v in self.k))
+        if any(v < 0 for v in self.k):
+            raise ValueError(f"stiffnesses must be >= 0, got {self.k}")
+        if not (self.k_total > 0):
+            raise ValueError("at least one stiffness must be strictly positive")
+
+    @property
+    def k_total(self) -> float:
+        """Combined stiffness k' of the equivalent single spring."""
+        return float(sum(self.k))
 
 
 def build_drift_matrix(hp: Hyperparams) -> np.ndarray:
@@ -243,9 +268,12 @@ class TransitionKernel:
 
 
 def build_kernel(hp: Hyperparams) -> TransitionKernel:
-    """Precompute A, unit-diffusion Sigma and its Cholesky factor for hp."""
+    """Precompute A, unit-diffusion Sigma and its Cholesky factor for hp.
+    Raises ``ValueError`` where A or Sigma overflows to a non-finite value."""
     f = build_drift_matrix(hp)
     a, sigma = matrix_fraction_decomposition(f, 1.0, hp.dt)
+    if not all(map(math.isfinite, a.ravel().tolist() + sigma.ravel().tolist())):
+        raise ValueError(f"A and Sigma of {hp} are not finite")
     h = psd_cholesky(sigma)
     return TransitionKernel(a=a, sigma_unit=sigma, h=h)
 

@@ -162,7 +162,7 @@ class TestRun:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"reps": reps}))
             argv += ["--config", str(cfg)]
-        with pytest.raises(ValueError, match=rf"repetitions must be >= 1, got {reps}"):
+        with pytest.raises(ValueError, match=re.escape(f"reps must be >= 1, got {reps}")):
             main(argv)
         assert not out.exists()
 
@@ -172,7 +172,7 @@ class TestRun:
             capture_output=True, text=True,
         )
         assert proc.returncode != 0
-        assert "repetitions must be >= 1, got 0" in proc.stderr
+        assert "reps must be >= 1, got 0" in proc.stderr
         assert proc.stdout == ""
 
     def test_rejects_non_object_config(self, tmp_path):
@@ -278,7 +278,7 @@ class TestBenchAndPlotData:
 
     def test_bench_rejects_zero_reps(self, tmp_path):
         out = tmp_path / "results"
-        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape("reps must be >= 1, got 0")):
             main(["bench", "--suite", "2d", "--reps", "0", "--out", str(out)])
         assert not out.exists()
 

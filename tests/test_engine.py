@@ -53,6 +53,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="velocity_init"):
             PaoConfig(velocity_init="random")
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [(dict(hp={"m": 1.0}), "hp must be a Hyperparams, got {'m': 1.0}"),
+         # at a run these failed inside the step, and in a suite inside its checks
+         (dict(specs=("globalbest", "localbest")), "specs must be AttractorSpecs, got 'globalbest'"),
+         (dict(specs=(AttractorSpec("globalbest"), None)), "specs must be AttractorSpecs, got None"),
+         (dict(specs=5), "specs must be a sequence of AttractorSpecs, got 5"),
+         (dict(specs="globalbest"), "specs must be a sequence of AttractorSpecs, got 'globalbest'")],
+    )
+    def test_rejects_parts_of_another_type(self, kwargs, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            PaoConfig(**kwargs)
+
     def test_params_dict_round_trips_labels(self):
         cfg = PaoConfig(
             hp=Hyperparams(k=(1.0, 0.5)),
@@ -441,6 +454,28 @@ class TestRun:
     def test_negative_generations_rejected(self):
         with pytest.raises(ValueError, match="generations"):
             run_pao(make_problem("dejong", 2), 8, -1, PaoConfig(), seed=0)
+
+    @pytest.mark.parametrize("optimizer", ["pao", "pso"])
+    @pytest.mark.parametrize(
+        "seed, error",
+        # True ran as seed 1 under the id "seedTrue"; 1.5 and "3" failed
+        # inside NumPy, and -1 with an error that did not name the seed
+        [(True, "seed must be an integer, got True"),
+         (1.5, "seed must be an integer, got 1.5"),
+         ("3", "seed must be an integer, got '3'"),
+         (-1, "seed must be >= 0, got -1")],
+    )
+    def test_rejects_a_seed_a_run_cannot_take(self, optimizer, seed, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            run_one(optimizer, make_problem("dejong", 2), 5, 1, seed)
+
+    def test_integral_seeds_run_as_integers(self):
+        problem = make_problem("dejong", 2)
+        want = run_one("pso", problem, 5, 1, 3)
+        for seed in (3.0, np.int64(3), np.uint64(3)):
+            got = run_one("pso", problem, 5, 1, seed)
+            assert got.run_id == want.run_id == "pso_dejong_2d_seed3"
+            assert type(got.seed) is int and got.history == want.history
 
     def test_evaluation_accounting(self):
         problem = CountingProblem(make_problem("rosenbrock", 2))

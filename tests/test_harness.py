@@ -105,7 +105,7 @@ class TestSuiteConfig:
         assert suite.optimizers == ("pso",) and suite.problems == (("dejong", 2),)
 
     def test_rejects_bad_reps(self):
-        with pytest.raises(ValueError, match="repetitions"):
+        with pytest.raises(ValueError, match=re.escape("reps must be >= 1, got 0")):
             tiny_suite(reps=0)
 
     @pytest.mark.parametrize(
@@ -178,7 +178,7 @@ class TestSuiteConfig:
          ("base_seed", 1.5), ("base_seed", "3"), ("base_seed", None), ("base_seed", True)],
     )
     def test_rejects_run_sizes_a_run_cannot_take(self, size, value):
-        error = "generations must be >= 0, got -1" if value == -1 else f"{size} must be an integer, got {value!r}"
+        error = "gens must be >= 0, got -1" if value == -1 else f"{size} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(error)):
             tiny_suite(**{size: value})
 

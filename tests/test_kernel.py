@@ -328,6 +328,18 @@ class TestDependencies:
 
 
 class TestKernelAndSampling:
+    @pytest.mark.parametrize(
+        "kwargs",
+        # undamped and stiff enough that A or Sigma overflows; a run on such a
+        # kernel would blame the objective for its first non-finite value
+        [dict(zeta=0.0, k=(1e16,), dt=1000.0), dict(zeta=0.0, k=(1e24,), dt=1.0)],
+    )
+    def test_kernel_that_overflows_names_the_hyperparameters(self, kwargs):
+        hp = Hyperparams(**kwargs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(f"A and Sigma of {hp} are not finite")):
+                build_kernel(hp)
+
     def test_build_kernel_is_immutable(self):
         kernel = build_kernel(Hyperparams())
         with pytest.raises(ValueError):

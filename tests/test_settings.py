@@ -1,10 +1,12 @@
 """Settings across every config type: each reads its numbers through
 ``kernel.to_float`` or ``kernel.to_int`` and its names through
 ``kernel.to_name``, so the same bad value is rejected everywhere with a
-ValueError that names the setting."""
+ValueError that names the setting; a setting declared with
+``kernel.setting`` is also held to its domain, in one message form."""
 
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -12,7 +14,7 @@ from pao import cli
 from pao.attractors import AttractorSpec
 from pao.baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from pao.benchmarks import make_problem
-from pao.engine import PaoConfig
+from pao.engine import BOUNDS_POLICIES, VELOCITY_INITS, PaoConfig
 from pao.harness import BenchmarkSuite, run_one, standard_suite
 from pao.kernel import Hyperparams, to_float
 
@@ -113,3 +115,72 @@ def test_a_config_value_is_checked_where_a_flag_overrides_it(tmp_path, key, valu
     flag = {"problem": "griewangk", "optimizer": "pso", "pop": "8"}[key]
     with pytest.raises(ValueError, match=re.escape(f"config key {key!r}")):
         cli.main(["run", f"--{key}", flag, "--config", str(cfg)])
+
+
+# every setting that declares a domain, as "<type>.<field>": its domain
+DECLARED = {
+    "Hyperparams.m": "> 0",
+    "Hyperparams.zeta": ">= 0",
+    "Hyperparams.q0": ">= 0",
+    "Hyperparams.dt": "> 0",
+    "PaoConfig.bounds_policy": BOUNDS_POLICIES,
+    "PaoConfig.velocity_init": VELOCITY_INITS,
+    "AttractorSpec.stddev": ">= 0",
+    "PsoConfig.vmax_frac": "> 0",
+    "DeConfig.cr": "in [0, 1]",
+    "SadeConfig.learning_period": ">= 1",
+    "SadeConfig.cr_std": ">= 0",
+    "SadeConfig.f_std": ">= 0",
+    "BenchmarkSuite.gens": ">= 0",
+    "BenchmarkSuite.reps": ">= 1",
+    "BenchmarkSuite.griewangk_denominator": "> 0",
+}
+# config type -> (builder taking one setting by keyword, label its errors put before the field)
+BUILDERS = {
+    Hyperparams: (Hyperparams, ""),
+    PaoConfig: (PaoConfig, ""),
+    AttractorSpec: (lambda **kw: AttractorSpec("stochasticgaussian", **kw), "attractor spec stochasticgaussian: "),
+    PsoConfig: (PsoConfig, "PsoConfig."),
+    QpsoConfig: (QpsoConfig, "QpsoConfig."),
+    DeConfig: (DeConfig, "DeConfig."),
+    SadeConfig: (SadeConfig, "SadeConfig."),
+    BenchmarkSuite: (suite, ""),
+}
+# numeric domain -> (values just on its wrong side, its allowed boundary values), for floats and for ints
+EDGES = {
+    float: {"> 0": ([0.0, -5e-324], [5e-324]), ">= 0": ([-5e-324], [0.0]),
+            "in [0, 1]": ([-5e-324, 1.0 + 2.0**-52], [0.0, 1.0])},
+    int: {">= 0": ([-1], [0]), ">= 1": ([0], [1])},
+}
+
+
+def declared_fields():
+    return [(cfg, f) for cfg in BUILDERS for f in fields(cfg) if "domain" in f.metadata]
+
+
+def test_the_declared_domains_are_the_table():
+    # a dropped domain or a lost annotation (no field) would empty the cases below
+    assert {f"{cfg.__name__}.{f.name}": f.metadata["domain"] for cfg, f in declared_fields()} == DECLARED
+
+
+def domain_cases():
+    for cfg, f in declared_fields():
+        build, prefix = BUILDERS[cfg]
+        domain, label = f.metadata["domain"], prefix + f.name
+        choices = isinstance(domain, tuple)
+        wrong, allowed = (["nope"], domain) if choices else EDGES[f.type][domain]
+        setting = f"{cfg.__name__}.{f.name}"
+        for value in wrong:
+            error = f"{label} must be one of {domain}, got {value!r}" if choices else f"{label} must be {domain}, got {value}"
+            yield pytest.param(build, f.name, value, error, id=f"{setting}={value!r}")
+        for value in allowed:
+            yield pytest.param(build, f.name, value, None, id=f"{setting}={value!r}")
+
+
+@pytest.mark.parametrize("build, name, value, error", list(domain_cases()))
+def test_every_declared_domain_holds_at_its_boundary(build, name, value, error):
+    if error is None:
+        assert getattr(build(**{name: value}), name) == value
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            build(**{name: value})
