@@ -59,7 +59,7 @@ class AttractorSpec:
     @classmethod
     def parse(cls, text: str) -> "AttractorSpec":
         """Parse a config string, e.g. ``globalbest`` or ``stochasticgaussian:0.5``."""
-        kind, colon, arg = text.partition(":")
+        kind, colon, arg = to_name("attractor spec", text).partition(":")
         if not colon:
             return cls(kind)
         if not arg.strip():

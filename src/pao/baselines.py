@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attractors import check_pop, draw_donors, particle_mean
+from .attractors import draw_donors, particle_mean
 from .benchmarks import Problem
 from .engine import clip, drive, update_archive
 from .kernel import read_fields, setting
@@ -134,8 +134,6 @@ def _de_trials(problem, swarm, fs, crs, rng, rand1=None):
 
 
 def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(), seed=0) -> RunRecord:
-    check_pop("de", n)
-
     def move(swarm, rng):
         trials = _de_trials(problem, swarm, cfg.f_de, cfg.cr, rng)
         return update_archive(swarm, trials, swarm.velocities, problem, greedy=True)[0]
@@ -144,7 +142,6 @@ def run_de(problem: Problem, n: int, generations: int, cfg: DeConfig = DeConfig(
 
 
 def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeConfig(), seed=0) -> RunRecord:
-    check_pop("sade", n)
     p_rand1 = 0.5
     # successes and failures of (rand/1, current-to-best/2) this learning period
     ns = np.zeros(2)
@@ -152,6 +149,7 @@ def run_sade(problem: Problem, n: int, generations: int, cfg: SadeConfig = SadeC
 
     def move(swarm, rng):
         nonlocal p_rand1
+        n = len(swarm.fitness)
         use_rand1 = rng.random(n) < p_rand1
         crs = clip(rng.normal(cfg.cr_mean, cfg.cr_std, size=n), 0.0, 1.0)
         fs = rng.normal(cfg.f_mean, cfg.f_std, size=n)

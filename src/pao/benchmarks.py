@@ -136,14 +136,10 @@ def make_problem(name: str, dim: int, griewangk_denominator: float = GRIEWANGK_D
     key = to_name("problem name", name)
     if key not in _CATALOG:
         raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
-    dim = to_int("dimension", dim)
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    dim = to_int("dimension", dim, ">= 1")
     if key == "rosenbrock" and dim < 2:
         raise ValueError("rosenbrock needs dimension >= 2")
-    griewangk_denominator = to_float("griewangk_denominator", griewangk_denominator)
-    if griewangk_denominator <= 0:
-        raise ValueError(f"griewangk_denominator must be > 0, got {griewangk_denominator}")
+    griewangk_denominator = to_float("griewangk_denominator", griewangk_denominator, "> 0")
     half_width, batch, opt_coord = _CATALOG[key]
     if key == "griewangk":
         batch = partial(batch, denominator=griewangk_denominator)

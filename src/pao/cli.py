@@ -108,9 +108,7 @@ def _cmd_run(args) -> int:
     pop = given.get("pop", BenchmarkSuite.pop)
     gens = given.get("gens", BenchmarkSuite.gens)
     seed = given.get("seed", BenchmarkSuite.base_seed)
-    reps = given.get("reps", 1)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = to_int("reps", given.get("reps", 1), ">= 1")
     cfg = PaoConfig.from_params({key: given[key] for key in PAO_KEYS if key in given}) if is_pao else None
     records = run_cell(optimizer, problem, pop, gens, [derive_seed(seed, rep) for rep in range(reps)], cfg)
     if "out" in given:

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attractors import AttractorSpec, compute_attractors, noise_scale, weighted_centroid
+from .attractors import AttractorSpec, check_pop, compute_attractors, noise_scale, weighted_centroid
 from .benchmarks import Problem, shift_to_zero
-from .kernel import Hyperparams, TransitionKernel, build_kernel, read_fields, sample_transition, setting, to_float, to_int
+from .kernel import Hyperparams, TransitionKernel, build_kernel, read_fields, sample_transition, setting, to_int, to_items
 from .records import RunRecord, history_entry
 
 BOUNDS_POLICIES = ("none", "clip", "reflect")
@@ -68,9 +68,7 @@ class PaoConfig:
         read_fields(self)
         if not isinstance(self.hp, Hyperparams):
             raise ValueError(f"hp must be a Hyperparams, got {self.hp!r}")
-        if isinstance(self.specs, str) or not np.iterable(self.specs):
-            raise ValueError(f"specs must be a sequence of AttractorSpecs, got {self.specs!r}")
-        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "specs", to_items("specs", self.specs))
         for spec in self.specs:
             if not isinstance(spec, AttractorSpec):
                 raise ValueError(f"specs must be AttractorSpecs, got {spec!r}")
@@ -99,19 +97,12 @@ class PaoConfig:
         unknown = sorted(set(params) - set(base.params_dict()))
         if unknown:
             raise ValueError(f"unknown PAO keys {unknown}")
-        for key in ("attractors", "k"):
-            if key in params and not isinstance(params[key], (list, tuple)):
-                raise ValueError(f"PAO key {key!r} must be a list, got {params[key]!r}")
         specs = base.specs
         if "attractors" in params:
-            for text in params["attractors"]:
-                if not isinstance(text, str):
-                    raise ValueError(f"PAO key 'attractors': {text!r} is not an attractor spec string")
-            specs = tuple(AttractorSpec.parse(text) for text in params["attractors"])
-        given = {key: to_float(f"PAO key {key!r}", params[key]) for key in ("m", "zeta", "q0", "dt") if key in params}
-        k = tuple(to_float("PAO key 'k'", v, strings=True) for v in params["k"]) if "k" in params else (1.0,) * len(specs)
+            specs = tuple(map(AttractorSpec.parse, to_items("attractors", params["attractors"])))
+        given = {key: params[key] for key in ("m", "zeta", "q0", "dt") if key in params}
         return cls(
-            hp=replace(base.hp, k=k, **given),
+            hp=replace(base.hp, k=params.get("k", (1.0,) * len(specs)), **given),
             specs=specs,
             bounds_policy=params.get("bounds_policy", base.bounds_policy),
             velocity_init=params.get("velocity_init", base.velocity_init),
@@ -164,8 +155,7 @@ def apply_bounds(pos, vel, lower, upper, policy):
 
 
 def _start_swarm(problem: Problem, n: int, rng, v_half=None) -> Swarm:
-    if n < 1:
-        raise ValueError(f"population size must be >= 1, got {n}")
+    n = to_int("population size", n, ">= 1")
     d = problem.dim
     pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
     vel = np.zeros((n, d)) if v_half is None else rng.uniform(-v_half, v_half, size=(n, d))
@@ -258,20 +248,20 @@ def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: 
 def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None):
     """One optimiser run under the shared contract.
 
-    Seeds one generator, starts the population (``start(rng)``, by default
-    uniform in the box with zero velocities), then applies ``move(swarm,
-    rng)`` ``generations`` times, logging the best-so-far after each
-    generation.  The start evaluates the n starting positions (in
-    ``_start_swarm``) and each generation's n trials go through
-    :func:`update_archive`, so a run uses exactly n * (generations + 1)
-    evaluations.  Beside the history the record keeps, in memory only, each
-    generation's best position.
+    Reads n, ``generations`` and ``seed`` as integers, checks that
+    ``optimizer`` can run with a population of n, seeds one generator, starts
+    the population (``start(n, rng)``, by default uniform in the box with
+    zero velocities), then applies ``move(swarm, rng)`` ``generations``
+    times, logging the best-so-far after each generation.  The start
+    evaluates the n starting positions (in ``_start_swarm``) and each
+    generation's n trials go through :func:`update_archive`, so a run uses
+    exactly n * (generations + 1) evaluations.  Beside the history the
+    record keeps, in memory only, each generation's best position.
     """
-    if generations < 0:
-        raise ValueError(f"generations must be >= 0, got {generations}")
-    seed = to_int("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n = to_int("population size", n, ">= 1")
+    check_pop(optimizer, n)
+    generations = to_int("generations", generations, ">= 0")
+    seed = to_int("seed", seed, ">= 0")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     record = RunRecord(
@@ -286,7 +276,7 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
         history=[],
         params=params,
     )
-    swarm = start(rng) if start else _start_swarm(problem, n, rng)
+    swarm = start(n, rng) if start else _start_swarm(problem, n, rng)
     for g in range(generations + 1):
         if g:
             swarm = move(swarm, rng)
@@ -315,5 +305,5 @@ def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) ->
     return drive(
         "pao", problem, n, generations, seed, cfg.params_dict(),
         move=lambda swarm, rng: step_swarm(swarm, kernel, cfg, problem, rng),
-        start=lambda rng: initialize_swarm(problem, n, cfg, rng),
+        start=lambda n, rng: initialize_swarm(problem, n, cfg, rng),
     )

@@ -17,7 +17,7 @@ from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
-from .kernel import read_fields, setting, to_int, to_name
+from .kernel import read_fields, setting, to_int, to_items, to_name
 from .records import write_jsonl
 
 # optimiser id -> (module, runner name, default config type).  A runner is looked
@@ -73,12 +73,7 @@ class BenchmarkSuite:
         # rejects, an optimiser whose config field is not its config type,
         # or a population an optimiser cannot run with
         for what in ("optimizers", "problems"):
-            items = getattr(self, what)
-            if isinstance(items, str):
-                raise ValueError(f"{what} must be a sequence, not the string {items!r}")
-            if not np.iterable(items):
-                raise ValueError(f"{what} must be a sequence, got {items!r}")
-            object.__setattr__(self, what, tuple(items))
+            object.__setattr__(self, what, to_items(what, getattr(self, what)))
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")
         read_fields(self)
@@ -124,7 +119,8 @@ def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
     """Run a single optimiser under the shared run contract.
 
     ``cfg`` defaults to the optimiser's default config and must otherwise be
-    of its config type; ``n`` and ``generations`` are read as integers.
+    of its config type; ``engine.drive`` reads ``n``, ``generations`` and
+    ``seed``.
     """
     opt = to_name("optimizer", optimizer)
     if opt not in _OPTIMIZERS:
@@ -134,7 +130,6 @@ def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
         cfg = config_type()
     elif not isinstance(cfg, config_type):
         raise ValueError(f"optimizer {opt!r} takes a {config_type.__name__}, got {cfg!r}")
-    n, generations = to_int("population size", n), to_int("generations", generations)
     return getattr(module, runner)(problem, n, generations, cfg, seed)
 
 

@@ -35,9 +35,10 @@ class DegenerateCovariance(ValueError):
     """The requested Gaussian density has a singular covariance."""
 
 
-def to_float(what, value, strings=False) -> float:
-    """``value`` as a finite float.  A bool, None or other non-number, NaN or
-    an infinity raises naming ``what``; where ``strings``, numeric text passes."""
+def to_float(what, value, domain=None, strings=False) -> float:
+    """``value`` as a finite float in ``domain`` (a key of ``_DOMAINS``, or
+    None for any).  A bool, None or other non-number, NaN or an infinity
+    raises naming ``what``; where ``strings``, numeric text passes."""
     if not isinstance(value, bool) and isinstance(value, (numbers.Real, str) if strings else numbers.Real):
         try:
             value = float(value)
@@ -46,7 +47,7 @@ def to_float(what, value, strings=False) -> float:
         else:
             if not math.isfinite(value):
                 raise ValueError(f"{what} must be finite, got {value}")
-            return value
+            return _in_domain(what, value, domain)
     raise ValueError(f"{what}: {value!r} is not a number")
 
 
@@ -58,16 +59,24 @@ def to_name(what, value) -> str:
     return value.strip().lower()
 
 
-def to_int(what, value) -> int:
-    """``value`` as an int; an integral float such as 2.0 passes, 2.7 and
-    ``True`` do not."""
+def to_items(what, value) -> tuple:
+    """``value``, a sequence other than a string, as a tuple; anything else
+    raises naming ``what``."""
+    if isinstance(value, str) or not np.iterable(value):
+        raise ValueError(f"{what} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
+def to_int(what, value, domain=None) -> int:
+    """``value`` as an int in ``domain``, as for :func:`to_float`; an
+    integral float such as 2.0 passes, 2.7 and ``True`` do not."""
     try:
         integral = not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return _in_domain(what, int(value), domain)
 
 
 # domain -> test a read value must pass
@@ -79,6 +88,12 @@ _DOMAINS = {
 }
 
 
+def _in_domain(what, value, domain):
+    if domain is not None and not _DOMAINS[domain](value):
+        raise ValueError(f"{what} must be {domain}, got {value}")
+    return value
+
+
 def setting(default, domain):
     """A dataclass field whose values :func:`read_fields` checks: ``domain``
     is one of ``"> 0"``, ``">= 0"``, ``">= 1"``, ``"in [0, 1]"``, or a
@@ -88,20 +103,16 @@ def setting(default, domain):
 
 def read_fields(obj, prefix=""):
     """Read every ``int`` or ``float`` field of the dataclass ``obj`` in place
-    through :func:`to_int` or :func:`to_float`, then check every field that
-    declares a domain with :func:`setting`.  Errors name ``prefix`` plus the
-    field name."""
+    through :func:`to_int` or :func:`to_float`, in the domain it declares
+    with :func:`setting`, and check every other field that declares a tuple
+    of allowed values.  Errors name ``prefix`` plus the field name."""
     for f in fields(obj):
         label, value = prefix + f.name, getattr(obj, f.name)
-        if f.type in (int, float):
-            value = (to_int if f.type is int else to_float)(label, value)
-            object.__setattr__(obj, f.name, value)
         domain = f.metadata.get("domain")
-        if isinstance(domain, tuple):
-            if value not in domain:
-                raise ValueError(f"{label} must be one of {domain}, got {value!r}")
-        elif domain is not None and not _DOMAINS[domain](value):
-            raise ValueError(f"{label} must be {domain}, got {value}")
+        if f.type in (int, float):
+            object.__setattr__(obj, f.name, (to_int if f.type is int else to_float)(label, value, domain))
+        elif domain is not None and value not in domain:
+            raise ValueError(f"{label} must be one of {domain}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,11 +136,7 @@ class Hyperparams:
         # floats, so a record's params read back through PaoConfig.from_params
         # write the same bytes; k takes numeric strings, as `kernel-info --k 1,2`
         read_fields(self)
-        if isinstance(self.k, str) or not np.iterable(self.k):
-            raise ValueError(f"k must be a sequence of stiffnesses, got {self.k!r}")
-        object.__setattr__(self, "k", tuple(to_float("k", v, strings=True) for v in self.k))
-        if any(v < 0 for v in self.k):
-            raise ValueError(f"stiffnesses must be >= 0, got {self.k}")
+        object.__setattr__(self, "k", tuple(to_float("k", v, ">= 0", strings=True) for v in to_items("k", self.k)))
         if not (self.k_total > 0):
             raise ValueError("at least one stiffness must be strictly positive")
 

@@ -2,6 +2,17 @@
 
 import numpy as np
 
+from pao import baselines, engine
+
+# optimiser id -> (its runner, called directly, and the runner's default config)
+RUNNERS = {
+    "pao": (engine.run_pao, engine.PaoConfig()),
+    "pso": (baselines.run_pso, baselines.PsoConfig()),
+    "qpso": (baselines.run_qpso, baselines.QpsoConfig()),
+    "de": (baselines.run_de, baselines.DeConfig()),
+    "sade": (baselines.run_sade, baselines.SadeConfig()),
+}
+
 
 class CountingProblem:
     """Wraps a benchmark problem and counts every objective evaluation row."""

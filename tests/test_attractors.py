@@ -120,6 +120,12 @@ class TestSpec:
         with pytest.raises(ValueError, match=re.escape(f"attractor spec {text!r}: nothing follows")):
             AttractorSpec.parse(text)
 
+    @pytest.mark.parametrize("text", [1, None, ["globalbest"]], ids=repr)
+    def test_parse_rejects_a_non_string(self, text):
+        # 1 raised a bare AttributeError that named no setting
+        with pytest.raises(ValueError, match=f"^{re.escape(f'attractor spec must be a string, got {text!r}')}$"):
+            AttractorSpec.parse(text)
+
     @given(st.floats(0.0, 10.0))
     def test_label_round_trips_stddev(self, sd):
         spec = AttractorSpec("stochasticgaussian", stddev=sd)

@@ -28,7 +28,7 @@ from pao.harness import OPTIMIZER_IDS, run_one
 from pao.kernel import Hyperparams, build_kernel, transition_logpdf
 from pao.records import read_jsonl, write_jsonl
 
-from support import CountingProblem
+from support import RUNNERS, CountingProblem
 
 
 def stacked(swarm):
@@ -59,8 +59,8 @@ class TestConfig:
          # at a run these failed inside the step, and in a suite inside its checks
          (dict(specs=("globalbest", "localbest")), "specs must be AttractorSpecs, got 'globalbest'"),
          (dict(specs=(AttractorSpec("globalbest"), None)), "specs must be AttractorSpecs, got None"),
-         (dict(specs=5), "specs must be a sequence of AttractorSpecs, got 5"),
-         (dict(specs="globalbest"), "specs must be a sequence of AttractorSpecs, got 'globalbest'")],
+         (dict(specs=5), "specs must be a sequence, got 5"),
+         (dict(specs="globalbest"), "specs must be a sequence, got 'globalbest'")],
     )
     def test_rejects_parts_of_another_type(self, kwargs, error):
         with pytest.raises(ValueError, match=re.escape(error)):
@@ -82,21 +82,21 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "params, match",
-        [({"k": 2.0}, "'k' must be a list"),
-         ({"attractors": "globalbest"}, "'attractors' must be a list"),
+        [({"k": 2.0}, "k must be a sequence, got 2.0"),
+         ({"attractors": "globalbest"}, "attractors must be a sequence, got 'globalbest'"),
          ({"zeta_": 0.5}, r"unknown PAO keys \['zeta_'\]"),
          # float() would take a bool or a numeric string for a number; only
          # k takes numeric strings, which its comma form "1,2" gives
-         ({"zeta": True}, "PAO key 'zeta': True is not a number"),
-         ({"q0": "1e-3"}, "PAO key 'q0': '1e-3' is not a number"),
-         ({"m": None}, "PAO key 'm': None is not a number"),
-         ({"dt": [1.0]}, r"PAO key 'dt': \[1.0\] is not a number"),
-         ({"k": [True, 1]}, "PAO key 'k': True is not a number"),
-         ({"k": [1.0, None]}, "PAO key 'k': None is not a number"),
-         ({"k": ["1", "two"]}, "PAO key 'k': 'two' is not a number"),
+         ({"zeta": True}, "zeta: True is not a number"),
+         ({"q0": "1e-3"}, "q0: '1e-3' is not a number"),
+         ({"m": None}, "m: None is not a number"),
+         ({"dt": [1.0]}, r"dt: \[1.0\] is not a number"),
+         ({"k": [True, 1]}, "k: True is not a number"),
+         ({"k": [1.0, None]}, "k: None is not a number"),
+         ({"k": ["1", "two"]}, "k: 'two' is not a number"),
          # each attractor entry is a spec string, and a bad one is named
-         ({"attractors": [1]}, "PAO key 'attractors': 1 is not an attractor spec string"),
-         ({"attractors": ["globalbest", None]}, "PAO key 'attractors': None is not an attractor spec string"),
+         ({"attractors": [1]}, "attractor spec must be a string, got 1"),
+         ({"attractors": ["globalbest", None]}, "attractor spec must be a string, got None"),
          ({"attractors": ["stochasticgaussian:abc"]}, "attractor spec 'stochasticgaussian:abc': 'abc' is not a number"),
          ({"attractors": ["stochasticgaussian: 1e "]}, "attractor spec 'stochasticgaussian: 1e ': '1e' is not a number")],
     )
@@ -476,6 +476,30 @@ class TestRun:
             got = run_one("pso", problem, 5, 1, seed)
             assert got.run_id == want.run_id == "pso_dejong_2d_seed3"
             assert type(got.seed) is int and got.history == want.history
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZER_IDS)
+    def test_a_runner_reads_integral_run_sizes(self, optimizer):
+        # called directly, not through run_one, n=8.0 failed inside NumPy
+        runner, cfg = RUNNERS[optimizer]
+        problem = make_problem("rastrigin", 2)
+        want = run_one(optimizer, problem, 8, 2, 3)
+        got = runner(problem, 8.0, 2.0, cfg, 3)
+        assert json.dumps(got.to_json_dict(include_duration=False)) == json.dumps(
+            want.to_json_dict(include_duration=False)
+        )
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZER_IDS)
+    @pytest.mark.parametrize(
+        "n, generations, error",
+        # called directly, generations=True ran and recorded "gens": true
+        [(True, 2, "population size must be an integer, got True"),
+         (8, True, "generations must be an integer, got True"),
+         (8, 2.5, "generations must be an integer, got 2.5")],
+    )
+    def test_a_runner_rejects_run_sizes_that_are_not_integers(self, optimizer, n, generations, error):
+        runner, cfg = RUNNERS[optimizer]
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            runner(make_problem("dejong", 2), n, generations, cfg, 0)
 
     def test_evaluation_accounting(self):
         problem = CountingProblem(make_problem("rosenbrock", 2))

@@ -90,8 +90,8 @@ class TestSuiteConfig:
 
     @pytest.mark.parametrize(
         "axes, error",
-        [(dict(optimizers="pso"), "optimizers must be a sequence, not the string 'pso'"),
-         (dict(problems="dejong"), "problems must be a sequence, not the string 'dejong'"),
+        [(dict(optimizers="pso"), "optimizers must be a sequence, got 'pso'"),
+         (dict(problems="dejong"), "problems must be a sequence, got 'dejong'"),
          (dict(optimizers=5), "optimizers must be a sequence, got 5"),
          (dict(problems=("dejong", 2)), "problem 'dejong' is not a (name, dim) pair"),
          (dict(problems=(("dejong", 2, 3),)), "problem ('dejong', 2, 3) is not a (name, dim) pair")],

@@ -137,7 +137,7 @@ class TestHyperparams:
     @pytest.mark.parametrize("k", ["12", 5, 2.0])
     def test_rejects_k_that_is_not_a_sequence(self, k):
         # a string would be read one character, one stiffness, at a time
-        with pytest.raises(ValueError, match=re.escape(f"k must be a sequence of stiffnesses, got {k!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"k must be a sequence, got {k!r}")):
             Hyperparams(k=k)
 
     def test_k_takes_a_list_of_numeric_text(self):

@@ -2,21 +2,25 @@
 ``kernel.to_float`` or ``kernel.to_int`` and its names through
 ``kernel.to_name``, so the same bad value is rejected everywhere with a
 ValueError that names the setting; a setting declared with
-``kernel.setting`` is also held to its domain, in one message form."""
+``kernel.setting``, and every function argument read in a domain, is also
+held to its domain, in one message form."""
 
 import json
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from pao import cli
-from pao.attractors import AttractorSpec
+from pao.attractors import MIN_POP, AttractorSpec
 from pao.baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from pao.benchmarks import make_problem
-from pao.engine import BOUNDS_POLICIES, VELOCITY_INITS, PaoConfig
+from pao.engine import BOUNDS_POLICIES, VELOCITY_INITS, PaoConfig, initialize_swarm
 from pao.harness import BenchmarkSuite, run_one, standard_suite
 from pao.kernel import Hyperparams, to_float
+
+from support import RUNNERS
 
 
 def suite(**overrides):
@@ -184,3 +188,58 @@ def test_every_declared_domain_holds_at_its_boundary(build, name, value, error):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             build(**{name: value})
+
+
+def runner_call(optimizer, size):
+    """A direct call of the optimiser's runner on 2-D dejong with ``size``
+    ("n", "generations" or "seed") set to the value; the other sizes are the
+    smallest the optimiser runs with."""
+
+    def run(value):
+        runner, cfg = RUNNERS[optimizer]
+        sizes = {"n": MIN_POP.get(optimizer, 1), "generations": 0, "seed": 0, size: value}
+        return runner(make_problem("dejong", 2), sizes["n"], sizes["generations"], cfg, sizes["seed"])
+
+    return run
+
+
+# (case, builder taking the value, the setting its errors name, domain,
+# values just on its wrong side, its allowed boundary values) for every
+# range read of a function argument
+ARGUMENTS = [
+    ("make_problem.dim", lambda value: make_problem("dejong", value), "dimension", ">= 1", [0], [1]),
+    ("make_problem.griewangk_denominator", lambda value: make_problem("griewangk", 2, value),
+     "griewangk_denominator", "> 0", [0.0, -5e-324], [5e-324]),
+    *[(f"{optimizer}.n", runner_call(optimizer, "n"), "population size", ">= 1", [0], [MIN_POP.get(optimizer, 1)])
+      for optimizer in RUNNERS],
+    *[(f"{optimizer}.{size}", runner_call(optimizer, size), size, ">= 0", [-1], [0])
+      for optimizer in RUNNERS for size in ("generations", "seed")],
+    ("initialize_swarm.n", lambda value: initialize_swarm(
+        make_problem("dejong", 2), value, PaoConfig(), np.random.default_rng(0)),
+     "population size", ">= 1", [0], [1]),
+    ("run.reps", lambda value: cli.main(["run", "--pop", "4", "--gens", "0", "--reps", str(value)]),
+     "reps", ">= 1", [0], [1]),
+    ("Hyperparams.k", lambda value: Hyperparams(k=(1.0, value)), "k", ">= 0", [-5e-324], [0.0]),
+]
+
+
+def argument_cases():
+    for case, build, what, domain, wrong, allowed in ARGUMENTS:
+        for value in wrong:
+            yield pytest.param(build, value, f"{what} must be {domain}, got {value}", id=f"{case}={value!r}")
+        for value in allowed:
+            yield pytest.param(build, value, None, id=f"{case}={value!r}")
+    # below the least population a DE donor draw takes, read after the size itself
+    for optimizer in ("de", "sade"):
+        least = MIN_POP[optimizer]
+        error = f"{optimizer} needs a population of at least {least}, got {least - 1}"
+        yield pytest.param(runner_call(optimizer, "n"), least - 1, error, id=f"{optimizer}.n={least - 1}")
+
+
+@pytest.mark.parametrize("build, value, error", list(argument_cases()))
+def test_every_range_read_argument_holds_at_its_boundary(build, value, error):
+    if error is None:
+        build(value)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            build(value)
