@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import read_fields, setting, to_name
+from .kernel import read_fields, setting, to_choice, to_name
 
 # Differential weight of the derand1bin attractor's rand/1 donor.
 DE_WEIGHT = 0.5
@@ -49,11 +49,7 @@ class AttractorSpec:
     stddev: float = setting(1.0, ">= 0")
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", to_name("attractor kind", self.kind))
-        if self.kind not in VALID_KINDS:
-            raise ValueError(
-                f"unknown attractor kind {self.kind!r}; expected one of {VALID_KINDS}"
-            )
+        object.__setattr__(self, "kind", to_choice("attractor kind", self.kind, VALID_KINDS))
         read_fields(self, f"attractor spec {self.kind}: ")
 
     @classmethod

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import to_float, to_int, to_name
+from .kernel import to_choice, to_float, to_int
 
 # Refined location of the Schwefel minimiser (per dimension).
 SCHWEFEL_OPT = 420.968746
@@ -133,9 +133,7 @@ def make_problem(name: str, dim: int, griewangk_denominator: float = GRIEWANGK_D
     The Griewangk quadratic coefficient defaults to the printed 1/400 but can
     be switched to the common literature 1/4000 via ``griewangk_denominator``.
     """
-    key = to_name("problem name", name)
-    if key not in _CATALOG:
-        raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
+    key = to_choice("problem name", name, PROBLEM_NAMES)
     dim = to_int("dimension", dim, ">= 1")
     if key == "rosenbrock" and dim < 2:
         raise ValueError("rosenbrock needs dimension >= 2")

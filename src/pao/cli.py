@@ -37,15 +37,17 @@ from .harness import (
     run_cell,
     run_suite,
     standard_suite,
+    SUITES,
 )
-from .kernel import Hyperparams, build_kernel, to_int, to_name
+from .kernel import Hyperparams, build_kernel, to_choice, to_int, to_items
 from .records import read_jsonl, write_jsonl
 
 PAO_KEYS = tuple(PaoConfig().params_dict())
 RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")
 BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed", "griewangk_denominator") + PAO_KEYS
 INT_KEYS = ("dim", "pop", "gens", "reps", "seed")
-NAME_KEYS = ("optimizer", "problem")
+# name key -> the names it may take; each entry of `optimizers` takes OPTIMIZER_IDS
+NAME_KEYS = {"optimizer": OPTIMIZER_IDS, "problem": PROBLEM_NAMES}
 # list keys that a config may also give as one comma-separated string
 LIST_KEYS = ("optimizers", "attractors", "k")
 
@@ -85,7 +87,10 @@ def _read(given: dict) -> dict:
     for key in [key for key in INT_KEYS if key in given]:
         given[key] = to_int(f"config key {key!r}", given[key])
     for key in [key for key in NAME_KEYS if key in given]:
-        given[key] = to_name(f"config key {key!r}", given[key])
+        given[key] = to_choice(f"config key {key!r}", given[key], NAME_KEYS[key])
+    if "optimizers" in given:
+        what = "config key 'optimizers'"
+        given["optimizers"] = [to_choice(what, o, OPTIMIZER_IDS) for o in to_items(what, given["optimizers"])]
     if not isinstance(given.get("out", ""), str):
         raise ValueError(f"config key 'out' must be a path string, got {given['out']!r}")
     return given
@@ -194,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser(
         "bench", help="run a benchmark suite and write its records, summary and plot CSVs"
     )
-    bench_p.add_argument("--suite", required=True, choices=("2d", "8d", "all"))
+    bench_p.add_argument("--suite", required=True, choices=tuple(SUITES))
     bench_p.add_argument("--reps", type=int)
     bench_p.add_argument("--seed", type=int)
     bench_p.add_argument("--out", required=True, help="output directory")

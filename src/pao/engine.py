@@ -66,9 +66,6 @@ class PaoConfig:
 
     def __post_init__(self):
         read_fields(self)
-        if not isinstance(self.hp, Hyperparams):
-            raise ValueError(f"hp must be a Hyperparams, got {self.hp!r}")
-        object.__setattr__(self, "specs", to_items("specs", self.specs))
         for spec in self.specs:
             if not isinstance(spec, AttractorSpec):
                 raise ValueError(f"specs must be AttractorSpecs, got {spec!r}")
@@ -155,7 +152,6 @@ def apply_bounds(pos, vel, lower, upper, policy):
 
 
 def _start_swarm(problem: Problem, n: int, rng, v_half=None) -> Swarm:
-    n = to_int("population size", n, ">= 1")
     d = problem.dim
     pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
     vel = np.zeros((n, d)) if v_half is None else rng.uniform(-v_half, v_half, size=(n, d))
@@ -174,7 +170,11 @@ def _start_swarm(problem: Problem, n: int, rng, v_half=None) -> Swarm:
 
 def initialize_swarm(problem: Problem, n: int, cfg: PaoConfig, rng) -> Swarm:
     """Uniform positions within the box, velocities per cfg.velocity_init,
-    best archives seeded from the first evaluation."""
+    best archives seeded from the first evaluation.  A population the
+    attractor menu cannot run with raises before anything is drawn."""
+    n = to_int("population size", n, ">= 1")
+    for spec in cfg.specs:
+        check_pop(spec.kind, n)
     v_half = None
     if cfg.velocity_init == "uniform-scaled":
         v_half = (problem.upper - problem.lower) / (2.0 * cfg.hp.dt)

@@ -17,7 +17,7 @@ from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import PaoConfig
-from .kernel import read_fields, setting, to_int, to_items, to_name
+from .kernel import read_fields, setting, to_choice, to_int
 from .records import write_jsonl
 
 # optimiser id -> (module, runner name, default config type).  A runner is looked
@@ -30,6 +30,8 @@ _OPTIMIZERS = {
     "sade": (baselines, "run_sade", SadeConfig),
 }
 OPTIMIZER_IDS = tuple(_OPTIMIZERS)
+# stock suite -> the dimensions its nine problems run in
+SUITES = {"2d": (2,), "8d": (8,), "all": (2, 8)}
 
 _MASK = (1 << 64) - 1
 
@@ -54,7 +56,7 @@ class BenchmarkSuite:
     """One comparison experiment: (problem, dim) pairs x optimisers x seeds."""
 
     problems: tuple
-    pop: int = 100
+    pop: int = setting(100, ">= 1")
     gens: int = setting(100, ">= 0")
     reps: int = setting(20, ">= 1")
     optimizers: tuple = OPTIMIZER_IDS
@@ -67,16 +69,15 @@ class BenchmarkSuite:
     sade: SadeConfig = SadeConfig()
 
     def __post_init__(self):
-        # every cell is checked here, before any run: an axis that is empty
-        # or not a sequence, a number setting read_fields refuses,
-        # a problem that is not a (name, dim) pair or that make_problem
-        # rejects, an optimiser whose config field is not its config type,
-        # or a population an optimiser cannot run with
+        # every cell is checked here, before any run: a setting read_fields
+        # refuses (an axis that is not a sequence, a number out of its domain,
+        # a config field not of its config type), an empty axis, a problem
+        # that is not a (name, dim) pair or that make_problem rejects, an
+        # unknown optimiser, or a population an optimiser cannot run with
+        read_fields(self)
         for what in ("optimizers", "problems"):
-            object.__setattr__(self, what, to_items(what, getattr(self, what)))
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")
-        read_fields(self)
         for item in self.problems:
             if isinstance(item, str) or not np.iterable(item) or len(item) != 2:
                 raise ValueError(f"problem {item!r} is not a (name, dim) pair")
@@ -85,18 +86,13 @@ class BenchmarkSuite:
             for n, d in self.problems
         ]
         object.__setattr__(self, "problems", tuple((p.name, p.dim) for p in problems))
-        object.__setattr__(self, "optimizers", tuple(to_name("optimizer", o) for o in self.optimizers))
+        object.__setattr__(self, "optimizers", tuple(to_choice("optimizer", o, OPTIMIZER_IDS) for o in self.optimizers))
         # a repeated cell would write runs under the ids of the first one
         for what, items in (("optimizer", self.optimizers), ("problem", self.problems)):
             for i, item in enumerate(items):
                 if item in items[:i]:
                     raise ValueError(f"duplicate {what} {item!r} in the suite")
         for opt in self.optimizers:
-            if opt not in OPTIMIZER_IDS:
-                raise ValueError(f"unknown optimizer {opt!r}; expected one of {OPTIMIZER_IDS}")
-            config_type, cfg = _OPTIMIZERS[opt][2], self.config_for(opt)
-            if not isinstance(cfg, config_type):
-                raise ValueError(f"suite field {opt!r} must be a {config_type.__name__}, got {cfg!r}")
             check_pop(opt, self.pop)
         if "pao" in self.optimizers:
             for spec in self.pao.specs:
@@ -108,9 +104,7 @@ class BenchmarkSuite:
 
 def standard_suite(which: str, **overrides) -> BenchmarkSuite:
     """The stock 2d / 8d / all benchmark suites over all nine problems."""
-    dims = {"2d": (2,), "8d": (8,), "all": (2, 8)}.get(to_name("suite", which))
-    if dims is None:
-        raise ValueError(f"unknown suite {which!r}; expected 2d, 8d or all")
+    dims = SUITES[to_choice("suite", which, tuple(SUITES))]
     problems = tuple((name, dim) for dim in dims for name in PROBLEM_NAMES)
     return BenchmarkSuite(problems=problems, **overrides)
 
@@ -122,14 +116,12 @@ def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
     of its config type; ``engine.drive`` reads ``n``, ``generations`` and
     ``seed``.
     """
-    opt = to_name("optimizer", optimizer)
-    if opt not in _OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_IDS}")
+    opt = to_choice("optimizer", optimizer, OPTIMIZER_IDS)
     module, runner, config_type = _OPTIMIZERS[opt]
     if cfg is None:
         cfg = config_type()
     elif not isinstance(cfg, config_type):
-        raise ValueError(f"optimizer {opt!r} takes a {config_type.__name__}, got {cfg!r}")
+        raise ValueError(f"{opt} must be a {config_type.__name__}, got {cfg!r}")
     return getattr(module, runner)(problem, n, generations, cfg, seed)
 
 

@@ -21,7 +21,7 @@ whose unit precision and log-normaliser the kernel holds.
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -57,6 +57,15 @@ def to_name(what, value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
     return value.strip().lower()
+
+
+def to_choice(what, value, choices) -> str:
+    """``value`` read by :func:`to_name`, which must be one of ``choices``;
+    anything else raises naming ``what``."""
+    name = to_name(what, value)
+    if name not in choices:
+        raise ValueError(f"{what} must be one of {choices}, got {value!r}")
+    return name
 
 
 def to_items(what, value) -> tuple:
@@ -97,22 +106,27 @@ def _in_domain(what, value, domain):
 def setting(default, domain):
     """A dataclass field whose values :func:`read_fields` checks: ``domain``
     is one of ``"> 0"``, ``">= 0"``, ``">= 1"``, ``"in [0, 1]"``, or a
-    tuple of the allowed values."""
+    tuple of the allowed names."""
     return field(default=default, metadata={"domain": domain})
 
 
 def read_fields(obj, prefix=""):
-    """Read every ``int`` or ``float`` field of the dataclass ``obj`` in place
-    through :func:`to_int` or :func:`to_float`, in the domain it declares
-    with :func:`setting`, and check every other field that declares a tuple
-    of allowed values.  Errors name ``prefix`` plus the field name."""
+    """Read every field of the dataclass ``obj`` in place by its type: a number
+    by :func:`to_int`/:func:`to_float` in its :func:`setting` domain, a tuple
+    by :func:`to_items`, a name by :func:`to_choice` in its tuple domain; a
+    dataclass field must hold its type.  Errors name ``prefix`` + field name."""
     for f in fields(obj):
         label, value = prefix + f.name, getattr(obj, f.name)
         domain = f.metadata.get("domain")
         if f.type in (int, float):
-            object.__setattr__(obj, f.name, (to_int if f.type is int else to_float)(label, value, domain))
-        elif domain is not None and value not in domain:
-            raise ValueError(f"{label} must be one of {domain}, got {value!r}")
+            value = (to_int if f.type is int else to_float)(label, value, domain)
+        elif f.type is tuple:
+            value = to_items(label, value)
+        elif domain is not None:
+            value = to_choice(label, value, domain)
+        elif is_dataclass(f.type) and not isinstance(value, f.type):
+            raise ValueError(f"{label} must be a {f.type.__name__}, got {value!r}")
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -136,7 +150,7 @@ class Hyperparams:
         # floats, so a record's params read back through PaoConfig.from_params
         # write the same bytes; k takes numeric strings, as `kernel-info --k 1,2`
         read_fields(self)
-        object.__setattr__(self, "k", tuple(to_float("k", v, ">= 0", strings=True) for v in to_items("k", self.k)))
+        object.__setattr__(self, "k", tuple(to_float("k", v, ">= 0", strings=True) for v in self.k))
         if not (self.k_total > 0):
             raise ValueError("at least one stiffness must be strictly positive")
 

@@ -93,7 +93,8 @@ class TestSpec:
         assert AttractorSpec(" GlobalBest ").kind == "globalbest"
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown attractor"):
+        error = f"attractor kind must be one of {VALID_KINDS}, got 'bestglobal'"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             AttractorSpec("bestglobal")
 
     def test_negative_stddev(self):

@@ -2,6 +2,7 @@
 domain boxes and batch/single consistency."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ class TestCatalog:
         np.testing.assert_array_equal(p.upper, [w] * 3)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown problem"):
+        error = f"problem name must be one of {PROBLEM_NAMES}, got 'sphere'"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             make_problem("sphere", 2)
 
     def test_bad_dimension(self):

@@ -506,6 +506,13 @@ class TestRun:
         rec = run_pao(problem, 13, 7, PaoConfig(), seed=2)
         assert problem.rows == 13 * 8 == rec.evals
 
+    def test_a_menu_population_is_checked_before_the_start_is_evaluated(self):
+        problem = CountingProblem(make_problem("dejong", 2))
+        cfg = PaoConfig.from_params({"attractors": ["localbest", "globalbest", "derand1bin"]})
+        with pytest.raises(ValueError, match="^derand1bin needs a population of at least 4, got 3$"):
+            run_pao(problem, 3, 2, cfg, seed=0)
+        assert problem.rows == 0
+
     def test_single_attractor_config(self):
         cfg = PaoConfig(hp=Hyperparams(k=(1.5,)), specs=(AttractorSpec("globalbest"),))
         rec = run_pao(make_problem("dejong", 2), 10, 10, cfg, seed=1)

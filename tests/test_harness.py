@@ -15,9 +15,10 @@ import pytest
 from pao import attractors, baselines, engine, harness
 from pao.engine import ObjectiveEvaluationError, PaoConfig
 from pao.baselines import DeConfig, PsoConfig
-from pao.benchmarks import make_problem
+from pao.benchmarks import PROBLEM_NAMES, make_problem
 from pao.harness import (
     OPTIMIZER_IDS,
+    SUITES,
     BenchmarkSuite,
     aggregate_convergence,
     derive_seed,
@@ -74,19 +75,24 @@ class TestSuiteConfig:
         assert all(d == 2 for _, d in standard_suite("2d").problems)
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError, match="unknown suite"):
+        error = f"suite must be one of {tuple(SUITES)}, got '3d'"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             standard_suite("3d")
 
     def test_rejects_bad_optimizer(self):
-        with pytest.raises(ValueError, match="unknown optimizer"):
+        error = f"optimizer must be one of {OPTIMIZER_IDS}, got 'cmaes'"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             tiny_suite(optimizers=("pao", "cmaes"))
 
     @pytest.mark.parametrize("opt", OPTIMIZER_IDS)
     def test_rejects_a_config_of_another_type(self, opt):
-        # checked before any run, not in the optimiser's first cell
+        # checked before any run, not in the optimiser's first cell, and
+        # also where that optimiser is not in the suite
         other = "pso" if opt == "de" else "de"
-        with pytest.raises(ValueError, match=re.escape(f"suite field {other!r} must be a ")):
-            tiny_suite(optimizers=(opt, other), **{other: {"c1": 1.0}})
+        error = f"{other} must be a {dict(pso='PsoConfig', de='DeConfig')[other]}, got {{'c1': 1.0}}"
+        for optimizers in ((opt, other), (opt,)):
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                tiny_suite(optimizers=optimizers, **{other: {"c1": 1.0}})
 
     @pytest.mark.parametrize(
         "axes, error",
@@ -110,10 +116,11 @@ class TestSuiteConfig:
 
     @pytest.mark.parametrize(
         "problem, error",
-        [(("nope", 2), "unknown problem"), (("rosenbrock", 1), "rosenbrock needs dimension")],
+        [(("nope", 2), f"problem name must be one of {PROBLEM_NAMES}, got 'nope'"),
+         (("rosenbrock", 1), "rosenbrock needs dimension")],
     )
     def test_rejects_bad_problem(self, problem, error):
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(ValueError, match=re.escape(error)):
             tiny_suite(problems=(("dejong", 2), problem))
 
     @pytest.mark.parametrize("dim", [2.7, -0.5, float("nan"), float("inf"), "2", None])
@@ -225,7 +232,8 @@ class TestRunOne:
             assert problem.evaluate(rec.best_pos[g][None])[0] == h["best"]
 
     def test_unknown_optimizer(self):
-        with pytest.raises(ValueError, match="unknown optimizer"):
+        error = f"optimizer must be one of {OPTIMIZER_IDS}, got 'cmaes'"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             run_one("cmaes", make_problem("dejong", 2), 8, 3, seed=1)
 
     @pytest.mark.parametrize(
@@ -233,7 +241,7 @@ class TestRunOne:
         [("pso", DeConfig(), "PsoConfig"), ("pao", PsoConfig(), "PaoConfig"), ("de", {"cr": 0.7}, "DeConfig")],
     )
     def test_rejects_a_config_of_another_type(self, opt, cfg, config_type):
-        with pytest.raises(ValueError, match=f"optimizer '{opt}' takes a {config_type}, got "):
+        with pytest.raises(ValueError, match=re.escape(f"{opt} must be a {config_type}, got {cfg!r}")):
             run_one(opt, make_problem("dejong", 2), 8, 3, 0, cfg)
 
     def test_reads_sizes_as_integers(self):

@@ -1,9 +1,9 @@
 """Settings across every config type: each reads its numbers through
 ``kernel.to_float`` or ``kernel.to_int`` and its names through
-``kernel.to_name``, so the same bad value is rejected everywhere with a
+``kernel.to_choice``, so the same bad value is rejected everywhere with a
 ValueError that names the setting; a setting declared with
-``kernel.setting``, and every function argument read in a domain, is also
-held to its domain, in one message form."""
+``kernel.setting``, every function argument read in a domain and every name
+choice is also held to its domain, in one message form."""
 
 import json
 import re
@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from pao import cli
-from pao.attractors import MIN_POP, AttractorSpec
+from pao.attractors import MIN_POP, VALID_KINDS, AttractorSpec
 from pao.baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
-from pao.benchmarks import make_problem
+from pao.benchmarks import PROBLEM_NAMES, make_problem
 from pao.engine import BOUNDS_POLICIES, VELOCITY_INITS, PaoConfig, initialize_swarm
-from pao.harness import BenchmarkSuite, run_one, standard_suite
+from pao.harness import OPTIMIZER_IDS, SUITES, BenchmarkSuite, run_one, standard_suite
 from pao.kernel import Hyperparams, to_float
 
 from support import RUNNERS
@@ -105,6 +105,36 @@ def test_every_name_setting_rejects_a_non_string(tmp_path, what, build, value):
         build(value, tmp_path)
 
 
+# (what the error names, its choices, reader taking the value and returning
+# the name it read) for every name choice
+CHOICE_SETTINGS = [
+    ("attractor kind", VALID_KINDS, lambda value: AttractorSpec(value).kind),
+    ("problem name", PROBLEM_NAMES, lambda value: make_problem(value, 2).name),
+    ("suite", tuple(SUITES), lambda value: standard_suite(value).problems),
+    ("optimizer", OPTIMIZER_IDS, lambda value: suite(optimizers=(value,)).optimizers[0]),
+    ("optimizer", OPTIMIZER_IDS, lambda value: run_one(value, make_problem("dejong", 2), 8, 1, 0).optimizer),
+    ("config key 'optimizer'", OPTIMIZER_IDS, lambda value: cli._read({"optimizer": value})["optimizer"]),
+    ("config key 'problem'", PROBLEM_NAMES, lambda value: cli._read({"problem": value})["problem"]),
+    ("config key 'optimizers'", OPTIMIZER_IDS, lambda value: cli._read({"optimizers": ["pso", value]})["optimizers"][1]),
+    ("bounds_policy", BOUNDS_POLICIES, lambda value: PaoConfig(bounds_policy=value).bounds_policy),
+    ("velocity_init", VELOCITY_INITS, lambda value: PaoConfig(velocity_init=value).velocity_init),
+]
+CHOICE_IDS = [what for what, _, _ in CHOICE_SETTINGS]
+
+
+@pytest.mark.parametrize("what, choices, read", CHOICE_SETTINGS, ids=CHOICE_IDS)
+def test_every_name_choice_rejects_a_name_outside_it_in_one_form(what, choices, read):
+    error = f"{what} must be one of {choices}, got 'nope'"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        read("nope")
+
+
+@pytest.mark.parametrize("what, choices, read", CHOICE_SETTINGS, ids=CHOICE_IDS)
+def test_every_name_choice_reads_padded_capitalised_text_as_its_member(what, choices, read):
+    for member in choices:
+        assert read(f" {member.capitalize()}") == read(member)
+
+
 def test_config_out_must_be_a_path(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pop": 8, "gens": 1, "out": 5}))
@@ -112,13 +142,18 @@ def test_config_out_must_be_a_path(tmp_path):
         cli.main(["run", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("key, value", [("problem", 5), ("optimizer", None), ("pop", 2.5)])
-def test_a_config_value_is_checked_where_a_flag_overrides_it(tmp_path, key, value):
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("run", "problem", 5), ("run", "optimizer", None), ("run", "pop", 2.5),
+     ("run", "optimizer", "cmaes"), ("bench", "optimizers", ["cmaes"])],
+)
+def test_a_config_value_is_checked_where_a_flag_overrides_it(tmp_path, command, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gens": 1, key: value}))
-    flag = {"problem": "griewangk", "optimizer": "pso", "pop": "8"}[key]
+    flag = {"problem": "griewangk", "optimizer": "pso", "optimizers": "pso", "pop": "8"}[key]
+    argv = {"run": ["run"], "bench": ["bench", "--suite", "2d", "--out", str(tmp_path / "suite")]}[command]
     with pytest.raises(ValueError, match=re.escape(f"config key {key!r}")):
-        cli.main(["run", f"--{key}", flag, "--config", str(cfg)])
+        cli.main([*argv, f"--{key}", flag, "--config", str(cfg)])
 
 
 # every setting that declares a domain, as "<type>.<field>": its domain
@@ -135,6 +170,7 @@ DECLARED = {
     "SadeConfig.learning_period": ">= 1",
     "SadeConfig.cr_std": ">= 0",
     "SadeConfig.f_std": ">= 0",
+    "BenchmarkSuite.pop": ">= 1",
     "BenchmarkSuite.gens": ">= 0",
     "BenchmarkSuite.reps": ">= 1",
     "BenchmarkSuite.griewangk_denominator": "> 0",
