@@ -15,8 +15,8 @@ time-stepping error is ever introduced, regardless of ``dt``.
 
 The kernel is precomputed once per optimiser run for unit diffusion; the
 actual per-generation noise variance enters as a scalar multiplier of the
-Cholesky factor ``H`` of ``Sigma`` in a draw, and of ``Sigma`` in the density,
-whose unit precision and log-normaliser the kernel holds.
+Cholesky factor ``H`` of ``Sigma``, through which a draw maps standard
+normals and the density whitens a residual.
 """
 
 import math
@@ -203,10 +203,7 @@ def matrix_fraction_decomposition(f, q: float, dt: float):
     f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValueError(f"drift matrix must be finite, got {f.tolist()}")
-    if not (0 <= q < np.inf):
-        raise ValueError(f"diffusion spectral density must be finite and >= 0, got {q}")
-    if not (0 < dt < np.inf):
-        raise ValueError(f"interval dt must be finite and > 0, got {dt}")
+    q, dt = to_float("q", q, ">= 0"), to_float("dt", dt, "> 0")
     s = max(0, math.frexp(2.0 * np.abs(f).sum(axis=0).max() * dt)[1])
     h = dt / 2.0**s
     phi = np.zeros((4, 4))
@@ -225,18 +222,19 @@ def matrix_fraction_decomposition(f, q: float, dt: float):
 def psd_cholesky(s) -> np.ndarray:
     """Lower-triangular H with H H^T = s for a symmetric PSD 2x2 matrix.
 
-    Closed form of the 2x2 Cholesky factorisation.  A pivot at or below
-    eps * max(diag) is numerically zero: its row and column of H are left at
-    zero, so a rank-deficient matrix still gets a factor.  The tolerance is
-    relative to the matrix's own scale, so the tiny but positive-definite
-    Sigma of a very short interval keeps its full factor.
+    Closed form of the 2x2 Cholesky factorisation.  A positive definite s
+    gets its full factor, however small its entries.  Otherwise a first
+    pivot at or below eps * max(diag) is rounding, whose row and column of
+    H stay zero, and a pivot that is not positive is zero, so a singular
+    matrix still gets a factor, with a zero pivot.
     """
-    s = np.asarray(s, dtype=float)
-    tol = np.finfo(float).eps * max(abs(s[0, 0]), abs(s[1, 1]))
-    l00 = math.sqrt(s[0, 0]) if s[0, 0] > tol else 0.0
-    l10 = s[1, 0] / l00 if l00 else 0.0
-    d = s[1, 1] - l10 * l10
-    return np.array([[l00, 0.0], [l10, math.sqrt(d) if d > tol else 0.0]])
+    (s00, _), (s10, s11) = np.asarray(s, dtype=float).tolist()
+    l00 = math.sqrt(s00) if s00 > 0 else 0.0
+    l10 = s10 / l00 if l00 else 0.0
+    d = s11 - l10 * l10
+    if d <= 0 and s00 <= np.finfo(float).eps * max(abs(s00), abs(s11)):
+        l00, l10, d = 0.0, 0.0, s11
+    return np.array([[l00, 0.0], [l10, math.sqrt(d) if d > 0 else 0.0]])
 
 
 @dataclass(frozen=True)
@@ -251,13 +249,11 @@ class TransitionKernel:
 
     a_t, h_t    C-contiguous copies of a^T and h^T, the right operands of
                 the stacked product in :func:`sample_transition`
-    degenerate  whether sigma_unit is singular beyond tolerance,
-                det <= (1e-12 max|entry|)^2; scaling by a variance v > 0
-                multiplies both sides by v^2, so the verdict holds for
-                every noise variance
-    precision   (P00, P01, P11), the distinct entries of inv(sigma_unit)
-    log_norm    -log 2 pi - 1/2 log det sigma_unit, the log-normaliser of
-                the unit-diffusion density
+    factor      (h00, h10, h11), the entries of h as floats
+    degenerate  whether h has a zero pivot, h00 or h11; a variance v > 0
+                scales h by sqrt(v), so this holds for every variance
+    log_norm    -log 2 pi - log h00 - log h11, the log-normaliser of the
+                unit-diffusion density (nan where degenerate)
 
     Immutable after construction; safe to share across threads.
     """
@@ -267,20 +263,19 @@ class TransitionKernel:
     h: np.ndarray
     a_t: np.ndarray = field(init=False, repr=False, compare=False)
     h_t: np.ndarray = field(init=False, repr=False, compare=False)
+    factor: tuple = field(init=False, repr=False, compare=False)
     degenerate: bool = field(init=False, repr=False, compare=False)
-    precision: tuple = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (s00, s01), (s10, s11) = self.sigma_unit.tolist()
-        det = s00 * s11 - s01 * s10
-        degenerate = not ((1e-12 * max(abs(s00), abs(s01), abs(s10), abs(s11))) ** 2 < det < math.inf)
+        (h00, _), (h10, h11) = self.h.tolist()
+        degenerate = not (h00 > 0 and h11 > 0)
         derived = dict(
             a_t=np.ascontiguousarray(self.a.T),
             h_t=np.ascontiguousarray(self.h.T),
+            factor=(h00, h10, h11),
             degenerate=degenerate,
-            precision=(math.nan,) * 3 if degenerate else (s11 / det, -s01 / det, s00 / det),
-            log_norm=math.nan if degenerate else -math.log(2.0 * math.pi) - 0.5 * math.log(det),
+            log_norm=math.nan if degenerate else -math.log(2.0 * math.pi) - math.log(h00) - math.log(h11),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -329,16 +324,14 @@ def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -
 def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: float) -> float:
     """Log-density of the one-step transition from the state x_from to x_to.
 
-    The transition is Gaussian with mean x_from A^T, through the map of
-    :func:`sample_transition`, and covariance noise_variance * sigma_unit.
-    Both states are single (2,) states.  With P and log_norm the kernel's
-    cached unit precision and log-normaliser and r the residual, the density
-    is log_norm - log v - r^T P r / (2 v), so no determinant of v * sigma_unit
-    is formed and any finite v > 0 works.  Raises ``DegenerateCovariance``
-    for v = 0 or a kernel whose sigma_unit is singular beyond tolerance, and
-    ``ValueError`` for a non-finite v or states of another shape.  Exposed
-    so the optimiser can serve as a proposal inside sequential Monte Carlo
-    schemes.
+    The density of the move x' = A x + sqrt(v) H z of :func:`sample_transition`
+    (z standard normal) between single (2,) states, by change of variables:
+    the residual r = x' - A x is whitened by forward substitution through
+    the kernel's cached factor H, giving log_norm - log v - |H^-1 r|^2 / (2 v),
+    so no determinant of v * sigma_unit is formed and any finite v > 0 works.
+    Raises ``DegenerateCovariance`` for v = 0 or a kernel whose H has a zero
+    pivot, and ``ValueError`` for a non-finite v, non-finite states or states
+    of another shape.  Exposed for use as a proposal in sequential Monte Carlo.
     """
     if not math.isfinite(noise_variance):
         raise ValueError(f"noise variance must be finite, got {noise_variance}")
@@ -347,13 +340,16 @@ def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: fl
             f"noise variance must be > 0 for a density, got {noise_variance}"
         )
     if kernel.degenerate:
-        raise DegenerateCovariance("transition covariance is singular beyond tolerance")
+        raise DegenerateCovariance("transition covariance is singular: H has a zero pivot")
     x_from, x_to = np.asarray(x_from, dtype=float), np.asarray(x_to, dtype=float)
     if x_from.shape != (2,) or x_to.shape != (2,):
         raise ValueError(
             f"the density takes single (2,) states, got {x_from.shape} and {x_to.shape}"
         )
     r0, r1 = (x_to - _matvec(kernel.a, kernel.a_t, x_from)).tolist()
-    p00, p01, p11 = kernel.precision
-    maha = p00 * r0 * r0 + 2.0 * p01 * r0 * r1 + p11 * r1 * r1
-    return kernel.log_norm - math.log(noise_variance) - 0.5 * maha / noise_variance
+    if not (math.isfinite(r0) and math.isfinite(r1)):
+        raise ValueError(f"states must be finite, got {x_from.tolist()} and {x_to.tolist()}")
+    h00, h10, h11 = kernel.factor
+    z0 = r0 / h00
+    z1 = (r1 - h10 * z0) / h11
+    return kernel.log_norm - math.log(noise_variance) - 0.5 * (z0 * z0 + z1 * z1) / noise_variance

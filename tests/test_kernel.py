@@ -254,6 +254,12 @@ class TestMatrixFractionDecomposition:
             with pytest.raises(ValueError, match="must be finite"):
                 matrix_fraction_decomposition(bad_f, q, dt)
 
+    @pytest.mark.parametrize("q, dt", [(True, 1.0), (1.0, True), (None, 1.0), ("1", 1.0)])
+    def test_rejects_a_q_or_dt_that_is_not_a_number(self, q, dt):
+        # a bool used to pass as 1
+        with pytest.raises(ValueError, match="is not a number"):
+            matrix_fraction_decomposition(build_drift_matrix(Hyperparams()), q, dt)
+
     def test_long_horizon_gives_stationary_covariance(self):
         # over a huge horizon the state forgets its start (A = 0) and the
         # noise covariance is the stationary P_inf = diag(1/(4 zeta wn^3),
@@ -309,6 +315,14 @@ class TestPsdCholesky:
         # from rounding, must not blow up the second row
         h = psd_cholesky(np.array([[1e-20, 1e-9], [1e-9, 1.0]]))
         np.testing.assert_array_equal(h, np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("dt", [1e-6, 1e-8, 1e-10])
+    def test_tiny_positive_definite_sigma_is_reproduced(self, dt):
+        # a first pivot below eps * max(diag) is not rounding where Sigma is
+        # positive definite: H H^T must still give Sigma's off-diagonal entry
+        sigma = build_kernel(Hyperparams(dt=dt)).sigma_unit
+        h = psd_cholesky(sigma)
+        assert np.abs(h @ h.T - sigma).max() <= 1e-12 * np.abs(sigma).max()
 
     def test_short_interval_keeps_full_factor(self):
         # Sigma(dt = 1e-6) has a position variance of ~3e-19: tiny, but
@@ -460,12 +474,10 @@ class TestDensity:
                 transition_logpdf(kernel, x, y, var), reference_logpdf(kernel, x, y, var), rtol=1e-10
             )
 
-    def test_caches_precision_and_log_normaliser(self):
+    def test_caches_factor_and_log_normaliser(self):
         kernel = build_kernel(Hyperparams())
-        p00, p01, p11 = kernel.precision
-        np.testing.assert_allclose(
-            np.array([[p00, p01], [p01, p11]]) @ kernel.sigma_unit, np.eye(2), rtol=0, atol=1e-14
-        )
+        assert kernel.factor == (kernel.h[0, 0], kernel.h[1, 0], kernel.h[1, 1])
+        assert all(type(v) is float for v in kernel.factor)
         want = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(kernel.sigma_unit))
         assert kernel.log_norm == pytest.approx(want, rel=1e-14)
         assert not kernel.degenerate
@@ -482,9 +494,9 @@ class TestDensity:
         assert transition_logpdf(kernel, np.zeros(2), x_to, var) == pytest.approx(want, rel=1e-14)
 
     def test_singular_kernel_is_degenerate(self):
-        # Sigma(dt = 1e-13) has det ~ dt^4 / 12 against a scale of dt: singular
-        # beyond the 1e-12 tolerance, whatever the variance
-        kernel = build_kernel(Hyperparams(dt=1e-13))
+        # Sigma(dt = 1e-110) has a position variance of ~dt^3 / 3, which
+        # underflows to 0: H has a zero pivot, whatever the variance
+        kernel = build_kernel(Hyperparams(dt=1e-110))
         assert kernel.degenerate
         for var in (1e-6, 1.0, 1e6):
             with pytest.raises(DegenerateCovariance, match="singular"):
@@ -509,3 +521,31 @@ class TestDensity:
             transition_logpdf(kernel, np.zeros(shape), np.zeros(2), 1.0)
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             transition_logpdf(kernel, np.zeros(2), np.zeros(shape), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_rejects_non_finite_states(self, bad, which):
+        # a nan or infinite state used to score as nan
+        kernel = build_kernel(Hyperparams())
+        states = [np.zeros(2), np.array([0.5, -1.0])]
+        states[which][1] = bad
+        with pytest.raises(ValueError, match="states must be finite") as info:
+            transition_logpdf(kernel, *states, 1.0)
+        assert not isinstance(info.value, DegenerateCovariance)
+        assert str(states[0].tolist()) in str(info.value) and str(states[1].tolist()) in str(info.value)
+
+    @pytest.mark.parametrize("dt", [1.0, 1e-6, 1e-8])
+    def test_draws_have_the_mahalanobis_mean_of_sigma(self, dt):
+        # the squared Mahalanobis distance under v * Sigma of a draw is
+        # chi-square with 2 degrees of freedom: mean 2, sd 2 / sqrt(n) of
+        # the mean.  Sigma's inverse is taken in closed form, not through H.
+        # (At dt = 1e-10 the position noise is below a unit state's float
+        # resolution, so the draws themselves are quantised.)
+        n, var = 4000, 0.5
+        kernel = build_kernel(Hyperparams(dt=dt))
+        x = np.random.default_rng(21).standard_normal((n, 2))
+        r = sample_transition(kernel, x, var, np.random.default_rng(22)) - x @ kernel.a.T
+        (s00, s01), (_, s11) = (var * kernel.sigma_unit).tolist()
+        det = s00 * s11 - s01 * s01
+        maha = (s11 * r[:, 0] ** 2 - 2.0 * s01 * r[:, 0] * r[:, 1] + s00 * r[:, 1] ** 2) / det
+        assert abs(maha.mean() - 2.0) <= 6.0 * 2.0 / np.sqrt(n)
