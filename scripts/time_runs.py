@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Print the in-process ms/run table: each optimiser on rastrigin in 2D and
 8D at pop 100, the median wall time of one ``run_one`` call over seeds
-0 .. N-1, with numeric libraries held to one thread.
+0 .. N-1, with numeric libraries held to one thread.  A second table gives
+the kernel layer in us/call: ``build_kernel`` of the default
+hyperparameters, and ``sample_transition`` and ``transition_logpdf`` of one
+(2,) state, each the median over batches of repeated calls.
 
     PYTHONPATH=src python3 scripts/time_runs.py              # 100 generations, 7 seeds
     PYTHONPATH=src python3 scripts/time_runs.py --gens 2 --seeds 1
@@ -20,6 +23,8 @@ import time
 POP = 100
 DIMS = (2, 8)
 PROBLEM = "rastrigin"
+KERNEL_BATCHES = 25
+KERNEL_CALLS = 200  # per batch
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
 
@@ -43,6 +48,43 @@ def time_runs(gens: int, seeds: int) -> dict:
     return table
 
 
+def time_kernel() -> dict:
+    """Kernel-layer call -> median us of one call over KERNEL_BATCHES
+    batches of KERNEL_CALLS calls."""
+    import numpy as np
+
+    from pao.kernel import Hyperparams, build_kernel, sample_transition, transition_logpdf
+
+    hp = Hyperparams()
+    kernel = build_kernel(hp)
+    rng = np.random.default_rng(0)
+    x, var = rng.standard_normal(2), 0.5
+    y = sample_transition(kernel, x, var, rng)
+    calls = {
+        "build_kernel": lambda: build_kernel(hp),
+        "sample_transition": lambda: sample_transition(kernel, x, var, rng),
+        "transition_logpdf": lambda: transition_logpdf(kernel, x, y, var),
+    }
+    us = {}
+    for name, call in calls.items():
+        batches = []
+        for _ in range(KERNEL_BATCHES):
+            t0 = time.perf_counter()
+            for _ in range(KERNEL_CALLS):
+                call()
+            batches.append((time.perf_counter() - t0) * 1e6 / KERNEL_CALLS)
+        us[name] = statistics.median(batches)
+    return us
+
+
+def format_kernel(us: dict) -> str:
+    return "\n".join([
+        "| " + " | ".join(us) + " |",
+        "|" + "----:|" * len(us),
+        "| " + " | ".join(f"{v:.2f}" for v in us.values()) + " |",
+    ])
+
+
 def format_table(table: dict) -> str:
     opts = list(dict.fromkeys(opt for opt, _ in table))
     lines = ["| dim | " + " | ".join(opts) + " |", "|----:|" + "----:|" * len(opts)]
@@ -63,6 +105,8 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     print(f"ms/run on {PROBLEM}, pop {POP}, gens {args.gens}, median of {args.seeds} seeds")
     print(format_table(time_runs(args.gens, args.seeds)))
+    print(f"us/call of the kernel layer, one (2,) state, median of {KERNEL_BATCHES} batches of {KERNEL_CALLS} calls")
+    print(format_kernel(time_kernel()))
     return 0
 
 

@@ -17,6 +17,12 @@ The kernel is precomputed once per optimiser run for unit diffusion; the
 actual per-generation noise variance enters as a scalar multiplier of the
 Cholesky factor ``H`` of ``Sigma``, through which a draw maps standard
 normals and the density whitens a residual.
+
+A stack of states (the engine's swarm) moves through one array product per
+matrix.  A single (2,) state moves, and is scored, in float arithmetic from
+the kernel's cached entries of A and H, which skips NumPy's per-call cost.
+Its last bits can differ from ``a @ x`` and from the stacked path; run
+records come from the stacked path and do not depend on it.
 """
 
 import math
@@ -249,11 +255,18 @@ class TransitionKernel:
 
     a_t, h_t    C-contiguous copies of a^T and h^T, the right operands of
                 the stacked product in :func:`sample_transition`
+    entries     (a00, a01, a10, a11), the entries of a as floats
     factor      (h00, h10, h11), the entries of h as floats
     degenerate  whether h has a zero pivot, h00 or h11; a variance v > 0
                 scales h by sqrt(v), so this holds for every variance
     log_norm    -log 2 pi - log h00 - log h11, the log-normaliser of the
                 unit-diffusion density (nan where degenerate)
+
+    A single (2,) state is drawn and scored in float arithmetic from
+    ``entries`` and ``factor``, a stack through ``a_t`` and ``h_t``.  The
+    two agree to a few ulps, not bit for bit, and the single-state bits can
+    also differ in the last place from ``a @ x``; run records come from the
+    stacked path.
 
     Immutable after construction; safe to share across threads.
     """
@@ -263,6 +276,7 @@ class TransitionKernel:
     h: np.ndarray
     a_t: np.ndarray = field(init=False, repr=False, compare=False)
     h_t: np.ndarray = field(init=False, repr=False, compare=False)
+    entries: tuple = field(init=False, repr=False, compare=False)
     factor: tuple = field(init=False, repr=False, compare=False)
     degenerate: bool = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
@@ -273,6 +287,7 @@ class TransitionKernel:
         derived = dict(
             a_t=np.ascontiguousarray(self.a.T),
             h_t=np.ascontiguousarray(self.h.T),
+            entries=tuple(self.a.ravel().tolist()),
             factor=(h00, h10, h11),
             degenerate=degenerate,
             log_norm=math.nan if degenerate else -math.log(2.0 * math.pi) - math.log(h00) - math.log(h11),
@@ -294,12 +309,17 @@ def build_kernel(hp: Hyperparams) -> TransitionKernel:
     return TransitionKernel(a=a, sigma_unit=sigma, h=h)
 
 
-def _matvec(m, m_t, x):
-    """m @ s for every state s along the last axis of x, with m_t the
-    C-contiguous m^T.  A stack of states goes through one (M, 2) product
-    against m_t, which beats both a broadcast 3-D product and the
-    transposed view m.T."""
-    return m @ x if x.ndim == 1 else (x.reshape(-1, x.shape[-1]) @ m_t).reshape(x.shape)
+def _matvec(m_t, x):
+    """m @ s for every state s along the last axis of the (..., 2) stack x,
+    with m_t the C-contiguous m^T: one (M, 2) product against m_t, which
+    beats both a broadcast 3-D product and the transposed view m.T."""
+    return (x.reshape(-1, 2) @ m_t).reshape(x.shape)
+
+
+def _mean(kernel, x0, x1):
+    """A (x0, x1) in float arithmetic: the mean of a single-state move."""
+    a00, a01, a10, a11 = kernel.entries
+    return a00 * x0 + a01 * x1, a10 * x0 + a11 * x1
 
 
 def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -> np.ndarray:
@@ -308,17 +328,33 @@ def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -
     Returns x A^T + sqrt(noise_variance) z H^T, with z drawn from ``rng`` in
     one ``standard_normal(x.shape)`` block.  With zero noise variance the
     draw is skipped entirely and the deterministic map is applied.  The
-    variance must be finite and >= 0.
+    variance must be finite and >= 0, and x an array whose last axis has
+    length 2; a single (2,) state must be finite and is mapped in float
+    arithmetic (see :class:`TransitionKernel`).
     """
     if not (0 <= noise_variance < math.inf):
         raise ValueError(f"noise variance must be finite and >= 0, got {noise_variance}")
-    mean = _matvec(kernel.a, kernel.a_t, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"states must have a last axis of length 2, got shape {x.shape}")
+    if x.ndim > 1:
+        mean = _matvec(kernel.a_t, x)
+        if noise_variance == 0.0:
+            return mean
+        noise = _matvec(kernel.h_t, rng.standard_normal(mean.shape))
+        noise *= math.sqrt(noise_variance)
+        noise += mean
+        return noise
+    x0, x1 = x.tolist()
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"state must be finite, got {[x0, x1]}")
+    m0, m1 = _mean(kernel, x0, x1)
     if noise_variance == 0.0:
-        return mean
-    noise = _matvec(kernel.h, kernel.h_t, rng.standard_normal(mean.shape))
-    noise *= math.sqrt(noise_variance)
-    noise += mean
-    return noise
+        return np.array([m0, m1])
+    z0, z1 = rng.standard_normal(2).tolist()
+    h00, h10, h11 = kernel.factor
+    s = math.sqrt(noise_variance)
+    return np.array([m0 + s * (h00 * z0), m1 + s * (h10 * z0 + h11 * z1)])
 
 
 def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: float) -> float:
@@ -326,9 +362,10 @@ def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: fl
 
     The density of the move x' = A x + sqrt(v) H z of :func:`sample_transition`
     (z standard normal) between single (2,) states, by change of variables:
-    the residual r = x' - A x is whitened by forward substitution through
-    the kernel's cached factor H, giving log_norm - log v - |H^-1 r|^2 / (2 v),
-    so no determinant of v * sigma_unit is formed and any finite v > 0 works.
+    the residual r = x' - A x, with A x the sampler's own float mean, is
+    whitened by forward substitution through the kernel's cached factor H,
+    giving log_norm - log v - |H^-1 r|^2 / (2 v), so no determinant of
+    v * sigma_unit is formed and any finite v > 0 works.
     Raises ``DegenerateCovariance`` for v = 0 or a kernel whose H has a zero
     pivot, and ``ValueError`` for a non-finite v, non-finite states or states
     of another shape.  Exposed for use as a proposal in sequential Monte Carlo.
@@ -346,9 +383,11 @@ def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: fl
         raise ValueError(
             f"the density takes single (2,) states, got {x_from.shape} and {x_to.shape}"
         )
-    r0, r1 = (x_to - _matvec(kernel.a, kernel.a_t, x_from)).tolist()
+    (x0, x1), (y0, y1) = x_from.tolist(), x_to.tolist()
+    m0, m1 = _mean(kernel, x0, x1)
+    r0, r1 = y0 - m0, y1 - m1
     if not (math.isfinite(r0) and math.isfinite(r1)):
-        raise ValueError(f"states must be finite, got {x_from.tolist()} and {x_to.tolist()}")
+        raise ValueError(f"states must be finite, got {[x0, x1]} and {[y0, y1]}")
     h00, h10, h11 = kernel.factor
     z0 = r0 / h00
     z1 = (r1 - h10 * z0) / h11

@@ -2,6 +2,7 @@
 the Gaussian sampling/density contract."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -55,6 +56,12 @@ SIGMA_OVERDAMPED = np.array(
         [0.09020112111355469, 0.28440630815108026],
     ]
 )
+
+EPS = np.finfo(float).eps
+# the float and the BLAS form of a 2x2 map plus noise each round to within
+# 2 eps of the terms' magnitude |A||x| + sqrt(v)|H||z|, with or without FMA,
+# so they differ by at most 4 eps of it
+MATVEC_ULPS = 4
 
 hyperparams = st.builds(
     Hyperparams,
@@ -360,23 +367,63 @@ class TestKernelAndSampling:
             kernel.a[0, 0] = 99.0
 
     def test_zero_variance_is_deterministic(self):
+        # a single state maps in float arithmetic from A's entries; a @ x
+        # (BLAS) may round differently, so it is a closeness check only
         kernel = build_kernel(Hyperparams())
         x = np.array([0.3, -1.2])
         rng = np.random.default_rng(0)
         got = sample_transition(kernel, x, 0.0, rng)
-        np.testing.assert_array_equal(got, kernel.a @ x)
+        (a00, a01), (a10, a11) = kernel.a.tolist()
+        want = np.array([a00 * 0.3 + a01 * -1.2, a10 * 0.3 + a11 * -1.2])
+        assert got.tobytes() == want.tobytes()
+        assert np.all(np.abs(got - kernel.a @ x) <= MATVEC_ULPS * EPS * (np.abs(kernel.a) @ np.abs(x)))
         # and the rng was never consumed
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_single_state_is_the_matrix_vector_map(self):
-        # one state: bit for bit a @ x + sqrt(v) (h @ d), with d the
-        # generator's next two standard normals
+        # one state: bit for bit A x + sqrt(v) H z in float arithmetic from
+        # the entries of A and H, with z the generator's next two standard
+        # normals; within a few ulps of the BLAS form a @ x + sqrt(v) (h @ z)
         kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
+        (a00, a01), (a10, a11) = kernel.a.tolist()
+        (h00, _), (h10, h11) = kernel.h.tolist()
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         states = np.random.default_rng(6).standard_normal((200, 2)) * 10.0 ** np.arange(-4, 6, 0.05)[:, None]
         for x, var in zip(states, 10.0 ** np.linspace(-6, 3, 200)):
-            want = kernel.a @ x + np.sqrt(var) * (kernel.h @ twin.standard_normal(2))
-            assert sample_transition(kernel, x, var, rng).tobytes() == want.tobytes()
+            z = twin.standard_normal(2)
+            (x0, x1), (z0, z1), s = x.tolist(), z.tolist(), math.sqrt(var)
+            want = np.array([a00 * x0 + a01 * x1 + s * (h00 * z0), a10 * x0 + a11 * x1 + s * (h10 * z0 + h11 * z1)])
+            got = sample_transition(kernel, x, var, rng)
+            assert got.tobytes() == want.tobytes()
+            scale = np.abs(kernel.a) @ np.abs(x) + s * (np.abs(kernel.h) @ np.abs(z))
+            assert np.all(np.abs(got - (kernel.a @ x + s * (kernel.h @ z))) <= MATVEC_ULPS * EPS * scale)
+
+    def test_single_state_and_stack_are_one_map(self):
+        # a (2,) state and the same state as a (1, 1, 2) stack take one draw
+        # of two normals and agree to a few ulps of the terms' magnitude
+        kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
+        rng, twin, normals = (np.random.default_rng(8) for _ in range(3))
+        states = np.random.default_rng(9).standard_normal((200, 2)) * 10.0 ** np.arange(-4, 6, 0.05)[:, None]
+        for x, var in zip(states, 10.0 ** np.linspace(-6, 3, 200)):
+            single = sample_transition(kernel, x, var, rng)
+            stacked = sample_transition(kernel, x.reshape(1, 1, 2), var, twin)
+            assert stacked.shape == (1, 1, 2)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            z = normals.standard_normal(2)
+            scale = np.abs(kernel.a) @ np.abs(x) + np.sqrt(var) * (np.abs(kernel.h) @ np.abs(z))
+            assert np.all(np.abs(single - stacked[0, 0]) <= MATVEC_ULPS * EPS * scale)
+
+    def test_density_of_a_draw_is_that_of_its_normals(self):
+        # x' = A x + sqrt(v) H z has density log_norm - log v - |z|^2 / 2,
+        # with z the generator's own draw
+        kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
+        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+        states = np.random.default_rng(13).standard_normal((200, 2))
+        for x, var in zip(states, 10.0 ** np.linspace(-2, 1, 200)):
+            y = sample_transition(kernel, x, var, rng)
+            z = twin.standard_normal(2)
+            want = kernel.log_norm - math.log(var) - 0.5 * (z @ z)
+            assert transition_logpdf(kernel, x, y, var) == pytest.approx(want, rel=1e-12)
 
     def test_stack_of_states_draws_one_block(self):
         # an (N, D, 2) stack consumes the generator as one (N, D, 2) draw,
@@ -391,11 +438,22 @@ class TestKernelAndSampling:
                 got[i], kernel.a @ x[i] + np.sqrt(0.3) * (kernel.h @ z[i]), rtol=0, atol=1e-15
             )
 
-    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 3)])
+    @pytest.mark.parametrize("shape", [(), (3,), (1,), (4, 3), (2, 2, 3), (2, 0)])
     def test_rejects_states_that_are_not_pairs(self, shape):
+        # a scalar raised IndexError, a stack NumPy's matmul message
         kernel = build_kernel(Hyperparams())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             sample_transition(kernel, np.ones(shape), 0.5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("var", [0.0, 0.5])
+    def test_rejects_a_non_finite_single_state(self, bad, var):
+        # [nan, 0] used to return [nan, nan]
+        kernel = build_kernel(Hyperparams())
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=re.escape(f"state must be finite, got {[bad, 0.0]}")):
+            sample_transition(kernel, np.array([bad, 0.0]), var, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_rejects_negative_variance(self):
         kernel = build_kernel(Hyperparams())
@@ -416,7 +474,7 @@ class TestKernelAndSampling:
         assert kernel.a_t.flags.c_contiguous and kernel.h_t.flags.c_contiguous
         x = np.random.default_rng(4).standard_normal((300, 2)) * 10.0 ** np.arange(-5, 5, 1 / 30)[:, None]
         for m, m_t in ((kernel.a, kernel.a_t), (kernel.h, kernel.h_t)):
-            assert _matvec(m, m_t, x).tobytes() == (x @ m.T).tobytes()
+            assert _matvec(m_t, x).tobytes() == (x @ m.T).tobytes()
 
     def test_sample_moments(self):
         kernel = build_kernel(Hyperparams())
@@ -481,6 +539,11 @@ class TestDensity:
         want = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(kernel.sigma_unit))
         assert kernel.log_norm == pytest.approx(want, rel=1e-14)
         assert not kernel.degenerate
+
+    def test_caches_the_entries_of_a(self):
+        kernel = build_kernel(Hyperparams())
+        assert kernel.entries == (kernel.a[0, 0], kernel.a[0, 1], kernel.a[1, 0], kernel.a[1, 1])
+        assert all(type(v) is float for v in kernel.entries)
 
     @pytest.mark.parametrize("var", [1e-300, 1e-170, 1e170, 1e300])
     def test_extreme_variances_give_the_closed_form(self, var):

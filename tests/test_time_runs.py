@@ -17,13 +17,24 @@ def run(*args):
 def test_prints_one_row_per_dimension_and_a_column_per_optimizer():
     proc = run("--gens", "1", "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
-    title, header, rule, *rows = proc.stdout.splitlines()
+    title, header, rule, *rows = proc.stdout.splitlines()[:5]
     assert title == "ms/run on rastrigin, pop 100, gens 1, median of 1 seeds"
     assert header == "| dim | pao | pso | qpso | de | sade |"
     assert [row.split(" | ")[0] for row in rows] == ["| 2D", "| 8D"]
     for row in rows:
         cells = row.strip("| ").split(" | ")[1:]
         assert len(cells) == 5 and all(float(c) > 0 for c in cells)
+
+
+def test_prints_the_kernel_layer_in_us_per_call():
+    proc = run("--gens", "0", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    title, header, rule, row = proc.stdout.splitlines()[5:]
+    assert title == "us/call of the kernel layer, one (2,) state, median of 25 batches of 200 calls"
+    assert header == "| build_kernel | sample_transition | transition_logpdf |"
+    assert rule == "|----:|----:|----:|"
+    cells = row.strip("| ").split(" | ")
+    assert len(cells) == 3 and all(float(c) > 0 for c in cells)
 
 
 def test_rejects_zero_seeds():
