@@ -43,7 +43,8 @@ VALID_KINDS = tuple(_RULES)
 
 @dataclass(frozen=True)
 class AttractorSpec:
-    """One attractor rule; ``stddev`` applies to stochasticgaussian only."""
+    """One attractor rule; ``stddev`` applies to stochasticgaussian only, and
+    every other kind refuses a spread other than the default."""
 
     kind: str
     stddev: float = setting(1.0, ">= 0")
@@ -51,23 +52,25 @@ class AttractorSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", to_choice("attractor kind", self.kind, VALID_KINDS))
         read_fields(self, f"attractor spec {self.kind}: ")
+        if self.kind != "stochasticgaussian" and self.stddev != AttractorSpec.stddev:
+            raise ValueError(f"attractor spec {self.kind}: {self.kind} takes no argument, got stddev {self.stddev}")
 
     @classmethod
     def parse(cls, text: str) -> "AttractorSpec":
         """Parse a config string, e.g. ``globalbest`` or ``stochasticgaussian:0.5``."""
         kind, colon, arg = to_name("attractor spec", text).partition(":")
+        spec = cls(kind)
         if not colon:
-            return cls(kind)
+            return spec
         if not arg.strip():
             raise ValueError(f"attractor spec {text!r}: nothing follows the ':'")
+        if spec.kind != "stochasticgaussian":
+            raise ValueError(f"attractor spec {text!r}: {spec.kind} takes no argument")
         try:
             stddev = float(arg)
         except ValueError:
             raise ValueError(f"attractor spec {text!r}: {arg.strip()!r} is not a number") from None
-        spec = cls(kind, stddev=stddev)
-        if spec.kind != "stochasticgaussian":
-            raise ValueError(f"attractor spec {text!r}: {spec.kind} takes no argument")
-        return spec
+        return cls(kind, stddev=stddev)
 
     def label(self) -> str:
         """Round-trippable config string for this spec."""

@@ -160,13 +160,11 @@ def _cmd_plot_data(args) -> int:
 
 
 def _cmd_kernel_info(args) -> int:
-    hp = Hyperparams(
-        m=args.m, zeta=args.zeta, k=_split(args.k), q0=args.q0, dt=args.dt
-    )
+    hp = Hyperparams(m=args.m, zeta=args.zeta, k=_split(args.k), dt=args.dt)
     kernel = build_kernel(hp)
     moduli = np.abs(np.linalg.eigvals(kernel.a))
     fmt = dict(precision=12, suppress_small=False)
-    print(f"m={hp.m} zeta={hp.zeta} k={list(hp.k)} (k'={hp.k_total}) q0={hp.q0} dt={hp.dt}")
+    print(f"m={hp.m} zeta={hp.zeta} k={list(hp.k)} (k'={hp.k_total}) dt={hp.dt}")
     print("A =")
     print(np.array2string(np.asarray(kernel.a), **fmt))
     print("Sigma (unit diffusion) =")
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     kinfo_p.add_argument("--m", type=float, default=Hyperparams.m)
     kinfo_p.add_argument("--zeta", type=float, default=Hyperparams.zeta)
     kinfo_p.add_argument("--k", default=",".join(map(str, Hyperparams.k)), help="comma-separated stiffnesses")
-    kinfo_p.add_argument("--q0", type=float, default=Hyperparams.q0)
     kinfo_p.add_argument("--dt", type=float, default=Hyperparams.dt)
     kinfo_p.set_defaults(func=_cmd_kernel_info)
 

@@ -44,10 +44,11 @@ def _splitmix64(z: int) -> int:
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
-    """Deterministic 64-bit seed from the base seed and run indices."""
-    h = _splitmix64(base_seed & _MASK)
-    for v in indices:
-        h = _splitmix64(h ^ (v & _MASK))
+    """Deterministic 64-bit seed from the base seed and run indices, each an
+    integer in [0, 2**64); anything else raises naming it."""
+    h = _splitmix64(to_int("base seed", base_seed, "in [0, 2**64)"))
+    for i, v in enumerate(indices):
+        h = _splitmix64(h ^ to_int(f"seed index {i}", v, "in [0, 2**64)"))
     return h
 
 
@@ -60,7 +61,7 @@ class BenchmarkSuite:
     gens: int = setting(100, ">= 0")
     reps: int = setting(20, ">= 1")
     optimizers: tuple = OPTIMIZER_IDS
-    base_seed: int = 0
+    base_seed: int = setting(0, ">= 0")
     griewangk_denominator: float = setting(GRIEWANGK_DENOMINATOR, "> 0")
     pao: PaoConfig = PaoConfig()
     pso: PsoConfig = PsoConfig()
@@ -71,10 +72,12 @@ class BenchmarkSuite:
     def __post_init__(self):
         # every cell is checked here, before any run: a setting read_fields
         # refuses (an axis that is not a sequence, a number out of its domain,
-        # a config field not of its config type), an empty axis, a problem
-        # that is not a (name, dim) pair or that make_problem rejects, an
-        # unknown optimiser, or a population an optimiser cannot run with
+        # a config field not of its config type), a base seed derive_seed
+        # refuses, an empty axis, a problem that is not a (name, dim) pair or
+        # that make_problem rejects, an unknown optimiser, or a population an
+        # optimiser cannot run with
         read_fields(self)
+        derive_seed(self.base_seed)
         for what in ("optimizers", "problems"):
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")

@@ -13,16 +13,18 @@ the 4x4 Van Loan block ``[[F, L L^T], [0, -F^T]]`` (matrix fraction
 decomposition), taken in plain NumPy by scaling and squaring, so no
 time-stepping error is ever introduced, regardless of ``dt``.
 
-The kernel is precomputed once per optimiser run for unit diffusion; the
-actual per-generation noise variance enters as a scalar multiplier of the
-Cholesky factor ``H`` of ``Sigma``, through which a draw maps standard
-normals and the density whitens a residual.
+The kernel has unit diffusion by construction and is precomputed once per
+optimiser run; the actual per-generation noise variance is the one scalar
+multiplier of the Cholesky factor ``H`` of ``Sigma``, through which a draw
+maps standard normals and the density whitens a residual.
 
-A stack of states (the engine's swarm) moves through one array product per
-matrix.  A single (2,) state moves, and is scored, in float arithmetic from
-the kernel's cached entries of A and H, which skips NumPy's per-call cost.
-Its last bits can differ from ``a @ x`` and from the stacked path; run
-records come from the stacked path and do not depend on it.
+A and H are stored column-major, so their transposes are the C-contiguous
+right operands of the stacked product: a stack of states (the engine's
+swarm) moves through one array product per matrix.  A single (2,) state
+moves, and is scored, in float arithmetic from the kernel's cached entries
+of A and H, which skips NumPy's per-call cost.  Its last bits can differ
+from ``a @ x`` and from the stacked path; run records come from the stacked
+path and do not depend on it.
 """
 
 import math
@@ -100,6 +102,7 @@ _DOMAINS = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, 2**64)": lambda v: 0 <= v < 1 << 64,
 }
 
 
@@ -111,7 +114,7 @@ def _in_domain(what, value, domain):
 
 def setting(default, domain):
     """A dataclass field whose values :func:`read_fields` checks: ``domain``
-    is one of ``"> 0"``, ``">= 0"``, ``">= 1"``, ``"in [0, 1]"``, or a
+    is a key of ``_DOMAINS`` (such as ``"> 0"`` or ``"in [0, 1]"``), or a
     tuple of the allowed names."""
     return field(default=default, metadata={"domain": domain})
 
@@ -191,8 +194,8 @@ def _taylor_expm(x) -> np.ndarray:
     return e
 
 
-def matrix_fraction_decomposition(f, q: float, dt: float):
-    """Transition matrix and process-noise covariance of the 2x2 linear SDE.
+def matrix_fraction_decomposition(f, dt: float):
+    """Transition matrix and unit-diffusion noise covariance of the 2x2 SDE.
 
     The Van Loan block Phi = [[F, L L^T], [0, -F^T]] (unit diffusion,
     L = (0, 1)^T) is exponentiated over h = dt / 2^s, with s the smallest
@@ -202,14 +205,13 @@ def matrix_fraction_decomposition(f, q: float, dt: float):
     singularity test.  The interval is then doubled s times with
     Sigma <- A Sigma A^T + Sigma and A <- A^2.  This never forms
     e^{-F^T dt}, which grows like e^{|lambda| dt} and cannot be inverted
-    accurately over long intervals.  Sigma is linear in the diffusion
-    density, so the unit result is scaled by q; it is symmetrised to
-    suppress floating-point asymmetry.
+    accurately over long intervals.  Sigma is symmetrised to suppress
+    floating-point asymmetry; :class:`TransitionKernel` stores A column-major.
     """
     f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValueError(f"drift matrix must be finite, got {f.tolist()}")
-    q, dt = to_float("q", q, ">= 0"), to_float("dt", dt, "> 0")
+    dt = to_float("dt", dt, "> 0")
     s = max(0, math.frexp(2.0 * np.abs(f).sum(axis=0).max() * dt)[1])
     h = dt / 2.0**s
     phi = np.zeros((4, 4))
@@ -222,7 +224,7 @@ def matrix_fraction_decomposition(f, q: float, dt: float):
     for _ in range(s):
         sigma = a @ sigma @ a.T + sigma
         a = a @ a
-    return a, (0.5 * q) * (sigma + sigma.T)
+    return a, 0.5 * (sigma + sigma.T)
 
 
 def psd_cholesky(s) -> np.ndarray:
@@ -247,14 +249,12 @@ def psd_cholesky(s) -> np.ndarray:
 class TransitionKernel:
     """Precomputed one-step Gaussian transition map for a single element.
 
-    a           2x2 state transition matrix e^{F dt}
-    sigma_unit  process-noise covariance for unit diffusion (q = 1)
-    h           lower-triangular Cholesky factor of sigma_unit
+    a           2x2 state transition matrix e^{F dt}, stored column-major
+    sigma_unit  process-noise covariance for unit diffusion
+    h           lower-triangular Cholesky factor of sigma_unit, column-major
 
     Derived from these once, at construction:
 
-    a_t, h_t    C-contiguous copies of a^T and h^T, the right operands of
-                the stacked product in :func:`sample_transition`
     entries     (a00, a01, a10, a11), the entries of a as floats
     factor      (h00, h10, h11), the entries of h as floats
     degenerate  whether h has a zero pivot, h00 or h11; a variance v > 0
@@ -263,10 +263,10 @@ class TransitionKernel:
                 unit-diffusion density (nan where degenerate)
 
     A single (2,) state is drawn and scored in float arithmetic from
-    ``entries`` and ``factor``, a stack through ``a_t`` and ``h_t``.  The
-    two agree to a few ulps, not bit for bit, and the single-state bits can
-    also differ in the last place from ``a @ x``; run records come from the
-    stacked path.
+    ``entries`` and ``factor``, a stack through ``a.T`` and ``h.T``, the
+    C-contiguous right operands of :func:`_matvec`.  The two agree to a few
+    ulps, not bit for bit, and the single-state bits can also differ in the
+    last place from ``a @ x``; run records come from the stacked path.
 
     Immutable after construction; safe to share across threads.
     """
@@ -274,8 +274,6 @@ class TransitionKernel:
     a: np.ndarray
     sigma_unit: np.ndarray
     h: np.ndarray
-    a_t: np.ndarray = field(init=False, repr=False, compare=False)
-    h_t: np.ndarray = field(init=False, repr=False, compare=False)
     entries: tuple = field(init=False, repr=False, compare=False)
     factor: tuple = field(init=False, repr=False, compare=False)
     degenerate: bool = field(init=False, repr=False, compare=False)
@@ -285,8 +283,8 @@ class TransitionKernel:
         (h00, _), (h10, h11) = self.h.tolist()
         degenerate = not (h00 > 0 and h11 > 0)
         derived = dict(
-            a_t=np.ascontiguousarray(self.a.T),
-            h_t=np.ascontiguousarray(self.h.T),
+            a=np.asfortranarray(self.a),
+            h=np.asfortranarray(self.h),
             entries=tuple(self.a.ravel().tolist()),
             factor=(h00, h10, h11),
             degenerate=degenerate,
@@ -294,7 +292,7 @@ class TransitionKernel:
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        for arr in (self.a, self.sigma_unit, self.h, self.a_t, self.h_t):
+        for arr in (self.a, self.sigma_unit, self.h):
             arr.setflags(write=False)
 
 
@@ -302,7 +300,7 @@ def build_kernel(hp: Hyperparams) -> TransitionKernel:
     """Precompute A, unit-diffusion Sigma and its Cholesky factor for hp.
     Raises ``ValueError`` where A or Sigma overflows to a non-finite value."""
     f = build_drift_matrix(hp)
-    a, sigma = matrix_fraction_decomposition(f, 1.0, hp.dt)
+    a, sigma = matrix_fraction_decomposition(f, hp.dt)
     if not all(map(math.isfinite, a.ravel().tolist() + sigma.ravel().tolist())):
         raise ValueError(f"A and Sigma of {hp} are not finite")
     h = psd_cholesky(sigma)
@@ -311,8 +309,9 @@ def build_kernel(hp: Hyperparams) -> TransitionKernel:
 
 def _matvec(m_t, x):
     """m @ s for every state s along the last axis of the (..., 2) stack x,
-    with m_t the C-contiguous m^T: one (M, 2) product against m_t, which
-    beats both a broadcast 3-D product and the transposed view m.T."""
+    with m_t the C-contiguous m^T (``.T`` of a column-major m): one (M, 2)
+    product against m_t, which beats both a broadcast 3-D product and the
+    transposed view of a row-major m."""
     return (x.reshape(-1, 2) @ m_t).reshape(x.shape)
 
 
@@ -338,10 +337,10 @@ def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -
     if x.shape[-1:] != (2,):
         raise ValueError(f"states must have a last axis of length 2, got shape {x.shape}")
     if x.ndim > 1:
-        mean = _matvec(kernel.a_t, x)
+        mean = _matvec(kernel.a.T, x)
         if noise_variance == 0.0:
             return mean
-        noise = _matvec(kernel.h_t, rng.standard_normal(mean.shape))
+        noise = _matvec(kernel.h.T, rng.standard_normal(mean.shape))
         noise *= math.sqrt(noise_variance)
         noise += mean
         return noise

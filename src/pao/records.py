@@ -88,8 +88,9 @@ def read_jsonl(path):
     """Read records written by :func:`write_jsonl`; a missing ``params`` or
     ``duration_ms`` takes the field's default.  A line that is not a JSON
     object (a truncated last line, as a killed run leaves, or any other
-    value) or that lacks any other field raises ``ValueError`` naming the
-    file and the line."""
+    value), that lacks any other field or whose record fails
+    :meth:`RunRecord.check` raises ``ValueError`` naming the file and the
+    line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -105,5 +106,10 @@ def read_jsonl(path):
             missing = [key for key in _REQUIRED_FIELDS if key not in obj]
             if missing:
                 raise ValueError(f"{path}, line {lineno}: record lacks the keys {missing}")
-            records.append(RunRecord(**{key: obj[key] for key in SERIALISED_FIELDS if key in obj}))
+            rec = RunRecord(**{key: obj[key] for key in SERIALISED_FIELDS if key in obj})
+            try:
+                rec.check()
+            except ValueError as err:
+                raise ValueError(f"{path}, line {lineno}: {err}") from None
+            records.append(rec)
     return records

@@ -75,7 +75,8 @@ def test_criterion_1_kernel_exactness(hyperparameter_draws):
     worst_s = 0.0
     for hp in hyperparameter_draws:
         f = build_drift_matrix(hp)
-        a, sigma = matrix_fraction_decomposition(f, hp.q0, hp.dt)
+        a, sigma = matrix_fraction_decomposition(f, hp.dt)
+        sigma = hp.q0 * sigma
         a_ref = taylor_expm(f * hp.dt)
         s_ref = quad_sigma(f, hp.q0, hp.dt, nodes=32)
         worst_a = max(worst_a, float(np.max(np.abs(a - a_ref)) / np.max(np.abs(a_ref))))
@@ -97,8 +98,9 @@ def test_criterion_2_semigroup(hyperparameter_draws):
     worst_s = 0.0
     for hp in hyperparameter_draws:
         f = build_drift_matrix(hp)
-        a1, s1 = matrix_fraction_decomposition(f, hp.q0, hp.dt)
-        a2, s2 = matrix_fraction_decomposition(f, hp.q0, 2.0 * hp.dt)
+        a1, s1 = matrix_fraction_decomposition(f, hp.dt)
+        a2, s2 = matrix_fraction_decomposition(f, 2.0 * hp.dt)
+        s1, s2 = hp.q0 * s1, hp.q0 * s2
         worst_a = max(worst_a, float(np.max(np.abs(a2 - a1 @ a1))))
         worst_s = max(worst_s, float(np.max(np.abs(s2 - (a1 @ s1 @ a1.T + s1)))))
     elapsed = time.perf_counter() - t0
@@ -229,8 +231,8 @@ def test_criterion_5_naive_equals_tensorised():
     for g in range(gens):
         nu = float(np.sum((state[:, :, 0].mean(axis=0) - gb_pos) ** 2))
         var = cfg.hp.q0 * nu
-        a_g, s_g = matrix_fraction_decomposition(f, var if var > 0.0 else 1.0, cfg.hp.dt)
-        h_g = psd_cholesky(s_g)
+        a_g, s_g = matrix_fraction_decomposition(f, cfg.hp.dt)
+        h_g = psd_cholesky((var if var > 0.0 else 1.0) * s_g)
         noise = twin.standard_normal((n, problem.dim, 2)) if var > 0.0 else None
         new = np.empty_like(state)
         for i in range(n):

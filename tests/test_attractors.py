@@ -116,6 +116,14 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"attractor spec {text!r}: .* takes no argument"):
             AttractorSpec.parse(text)
 
+    @pytest.mark.parametrize("kind", [k for k in VALID_KINDS if k != "stochasticgaussian"])
+    def test_rejects_a_spread_on_a_kind_without_one(self, kind):
+        # it ran as the default spec, yet compared unequal to it
+        error = f"attractor spec {kind}: {kind} takes no argument, got stddev 2.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            AttractorSpec(kind, 2.0)
+        assert AttractorSpec(kind, 1.0) == AttractorSpec(kind)
+
     @pytest.mark.parametrize("text", ["globalbest:", "stochasticgaussian:", "derand1bin: ", "localbest:\t"])
     def test_parse_rejects_empty_argument(self, text):
         with pytest.raises(ValueError, match=re.escape(f"attractor spec {text!r}: nothing follows")):

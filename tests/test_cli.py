@@ -168,6 +168,22 @@ class TestRun:
             main(argv)
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("given_in", ["flag", "config"])
+    def test_rejects_a_seed_outside_64_bits(self, tmp_path, seed, given_in):
+        # -1 ran, and 2**64 wrote the records of seed 0
+        out = tmp_path / "out.jsonl"
+        argv = ["run", "--pop", "8", "--gens", "1", "--out", str(out)]
+        if given_in == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(ValueError, match=re.escape(f"base seed must be in [0, 2**64), got {seed}")):
+            main(argv)
+        assert not out.exists()
+
     def test_non_positive_reps_exits_non_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pao.cli", "run", "--reps", "0", "--pop", "8"],
@@ -318,6 +334,16 @@ class TestBenchAndPlotData:
         assert proc.returncode != 0
         assert re.search(r"ValueError: \S*records\.jsonl, line 2: not JSON", proc.stderr)
         assert proc.stdout == "" and not (tmp_path / "plots").exists()
+
+    def test_plot_data_of_a_record_with_a_short_history_names_the_line(self, tmp_path):
+        # failed inside NumPy on an inhomogeneous shape, naming no file
+        recs = [run_one("pso", make_problem("dejong", 2), 4, 2, seed=s) for s in (0, 1)]
+        del recs[1].history[-1]
+        write_jsonl(recs, tmp_path / "records.jsonl")
+        error = f"{tmp_path / 'records.jsonl'}, line 2: {recs[1].run_id}: 2 history entries for 2 generations"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            main(["plot-data", "--in", str(tmp_path), "--out", str(tmp_path / "plots")])
+        assert not (tmp_path / "plots").exists()
 
 
 class TestEntryPoint:

@@ -66,6 +66,21 @@ class TestSeedDerivation:
         for s in (0, 1, 2**63, 2**64 - 1):
             assert 0 <= derive_seed(s, 3) < 2**64
 
+    @pytest.mark.parametrize(
+        "args, what, value",
+        [((-1,), "base seed", -1), ((2**64, 3), "base seed", 2**64),
+         ((0, -1), "seed index 0", -1), ((0, 1, 2**64 + 1), "seed index 1", 2**64 + 1)],
+    )
+    def test_rejects_a_seed_or_index_outside_64_bits(self, args, what, value):
+        # each was masked to 64 bits: 2**64 derived the seeds of 0
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be in [0, 2**64), got {value}')}$"):
+            derive_seed(*args)
+
+    @pytest.mark.parametrize("value", [1.5, "3", True])
+    def test_rejects_a_seed_that_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"base seed must be an integer, got {value!r}")):
+            derive_seed(value)
+
 
 class TestSuiteConfig:
     def test_standard_suites(self):
@@ -188,6 +203,15 @@ class TestSuiteConfig:
         error = "gens must be >= 0, got -1" if value == -1 else f"{size} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(error)):
             tiny_suite(**{size: value})
+
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, "base_seed must be >= 0, got -1"), (2**64, f"base seed must be in [0, 2**64), got {2**64}")]
+    )
+    def test_rejects_a_base_seed_outside_64_bits(self, seed, error):
+        # -1 failed only when the first run derived its seed, and 2**64 ran
+        # the suite of base seed 0
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            tiny_suite(base_seed=seed)
 
     def test_accepts_integral_run_sizes(self):
         suite = tiny_suite(pop=np.int64(8), gens=4.0, reps=np.uint8(2), base_seed=np.int64(42))

@@ -1,6 +1,7 @@
 """Transition-kernel tests: frozen oracle values, algebraic invariants and
 the Gaussian sampling/density contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from oracles import quad_sigma, taylor_expm, underdamped_transition
 
 # Frozen oracle outputs (Taylor-series expm + Gauss-Legendre quadrature,
 # cross-checked against the closed-form underdamped solution to 5e-16).
-# Case 1: the default hyperparameters (m=1, zeta=0.2, k'=2, dt=1, unit q).
+# Case 1: the default hyperparameters (m=1, zeta=0.2, k'=2, dt=1, unit diffusion).
 A_DEFAULT = np.array(
     [
         [0.2899508338913913, 0.534595194171772],
@@ -43,7 +44,7 @@ SIGMA_DEFAULT = np.array(
         [0.14289601081577702, 0.37853251957956263],
     ]
 )
-# Case 2: overdamped, m=2, zeta=1.5, k'=0.5, dt=0.7, unit q.
+# Case 2: overdamped, m=2, zeta=1.5, k'=0.5, dt=0.7, unit diffusion.
 A_OVERDAMPED = np.array(
     [
         [0.955980599766424, 0.4247378511824793],
@@ -189,7 +190,7 @@ class TestTaylorExponential:
         # whole interval was 88% off here
         hp = Hyperparams(m=0.25, zeta=1.5, k=(4.0, 4.0), dt=3.0)
         f = build_drift_matrix(hp)
-        a, sigma = matrix_fraction_decomposition(f, 1.0, hp.dt)
+        a, sigma = matrix_fraction_decomposition(f, hp.dt)
         assert max_rel_err(a, taylor_expm(f * hp.dt)) < 1e-12
         assert max_rel_err(sigma, quad_sigma(f, 1.0, hp.dt)) < 1e-12
 
@@ -197,19 +198,19 @@ class TestTaylorExponential:
 class TestMatrixFractionDecomposition:
     def test_frozen_default_case(self):
         f = build_drift_matrix(Hyperparams())
-        a, sigma = matrix_fraction_decomposition(f, 1.0, 1.0)
+        a, sigma = matrix_fraction_decomposition(f, 1.0)
         np.testing.assert_allclose(a, A_DEFAULT, rtol=0, atol=1e-14)
         np.testing.assert_allclose(sigma, SIGMA_DEFAULT, rtol=0, atol=1e-14)
 
     def test_frozen_overdamped_case(self):
         f = build_drift_matrix(Hyperparams(m=2.0, zeta=1.5, k=(0.5,), dt=0.7))
-        a, sigma = matrix_fraction_decomposition(f, 1.0, 0.7)
+        a, sigma = matrix_fraction_decomposition(f, 0.7)
         np.testing.assert_allclose(a, A_OVERDAMPED, rtol=0, atol=1e-14)
         np.testing.assert_allclose(sigma, SIGMA_OVERDAMPED, rtol=0, atol=1e-14)
 
     def test_closed_form_underdamped(self):
         hp = Hyperparams(m=1.3, zeta=0.45, k=(0.8, 0.7), dt=0.9)
-        a, _ = matrix_fraction_decomposition(build_drift_matrix(hp), 1.0, hp.dt)
+        a, _ = matrix_fraction_decomposition(build_drift_matrix(hp), hp.dt)
         ref = underdamped_transition(hp.m, hp.zeta, hp.k_total, hp.dt)
         np.testing.assert_allclose(a, ref, rtol=0, atol=1e-13)
 
@@ -217,7 +218,8 @@ class TestMatrixFractionDecomposition:
     @settings(max_examples=60, deadline=None)
     def test_sigma_symmetric_psd_and_quadrature(self, hp):
         f = build_drift_matrix(hp)
-        a, sigma = matrix_fraction_decomposition(f, hp.q0, hp.dt)
+        a, sigma = matrix_fraction_decomposition(f, hp.dt)
+        sigma = hp.q0 * sigma
         np.testing.assert_array_equal(sigma, sigma.T)
         eig = np.linalg.eigvalsh(sigma)
         assert eig.min() > -1e-12
@@ -232,8 +234,9 @@ class TestMatrixFractionDecomposition:
         # exactness in the composable sense: one double step equals two
         # single steps, for both the mean map and the noise covariance
         f = build_drift_matrix(hp)
-        a1, s1 = matrix_fraction_decomposition(f, hp.q0, hp.dt)
-        a2, s2 = matrix_fraction_decomposition(f, hp.q0, 2.0 * hp.dt)
+        a1, s1 = matrix_fraction_decomposition(f, hp.dt)
+        a2, s2 = matrix_fraction_decomposition(f, 2.0 * hp.dt)
+        s1, s2 = hp.q0 * s1, hp.q0 * s2
         np.testing.assert_allclose(a2, a1 @ a1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(s2, a1 @ s1 @ a1.T + s1, rtol=0, atol=1e-12)
 
@@ -242,30 +245,23 @@ class TestMatrixFractionDecomposition:
     def test_determinant_is_liouville(self, hp):
         # det expm(F dt) = exp(tr F dt) = exp(-2 zeta wn dt)
         f = build_drift_matrix(hp)
-        a, _ = matrix_fraction_decomposition(f, 1.0, hp.dt)
+        a, _ = matrix_fraction_decomposition(f, hp.dt)
         expected = np.exp(-2.0 * hp.zeta * np.sqrt(hp.k_total / hp.m) * hp.dt)
         np.testing.assert_allclose(np.linalg.det(a), expected, rtol=1e-10)
 
-    def test_zero_diffusion_gives_zero_sigma(self):
-        f = build_drift_matrix(Hyperparams())
-        _, sigma = matrix_fraction_decomposition(f, 0.0, 1.0)
-        np.testing.assert_allclose(sigma, np.zeros((2, 2)), atol=1e-15)
-
-    def test_rejects_negative_q_and_bad_dt(self):
+    def test_rejects_bad_dt(self):
         f = build_drift_matrix(Hyperparams())
         with pytest.raises(ValueError):
-            matrix_fraction_decomposition(f, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            matrix_fraction_decomposition(f, 1.0, 0.0)
-        for bad_f, q, dt in [(f, np.nan, 1.0), (f, np.inf, 1.0), (f, 1.0, np.inf), (f * np.nan, 1.0, 1.0)]:
+            matrix_fraction_decomposition(f, 0.0)
+        for bad_f, dt in [(f, np.inf), (f * np.nan, 1.0)]:
             with pytest.raises(ValueError, match="must be finite"):
-                matrix_fraction_decomposition(bad_f, q, dt)
+                matrix_fraction_decomposition(bad_f, dt)
 
-    @pytest.mark.parametrize("q, dt", [(True, 1.0), (1.0, True), (None, 1.0), ("1", 1.0)])
-    def test_rejects_a_q_or_dt_that_is_not_a_number(self, q, dt):
+    @pytest.mark.parametrize("dt", [True, None, "1"])
+    def test_rejects_a_dt_that_is_not_a_number(self, dt):
         # a bool used to pass as 1
         with pytest.raises(ValueError, match="is not a number"):
-            matrix_fraction_decomposition(build_drift_matrix(Hyperparams()), q, dt)
+            matrix_fraction_decomposition(build_drift_matrix(Hyperparams()), dt)
 
     def test_long_horizon_gives_stationary_covariance(self):
         # over a huge horizon the state forgets its start (A = 0) and the
@@ -273,7 +269,7 @@ class TestMatrixFractionDecomposition:
         # 1/(4 zeta wn)) of the unit-diffusion oscillator
         hp = Hyperparams(zeta=1.5)
         wn = np.sqrt(hp.k_total / hp.m)
-        a, sigma = matrix_fraction_decomposition(build_drift_matrix(hp), 1.0, 1e6)
+        a, sigma = matrix_fraction_decomposition(build_drift_matrix(hp), 1e6)
         np.testing.assert_array_equal(a, np.zeros((2, 2)))
         p_inf = np.diag([1.0 / (4.0 * hp.zeta * wn**3), 1.0 / (4.0 * hp.zeta * wn)])
         np.testing.assert_allclose(sigma, p_inf, rtol=0, atol=1e-15)
@@ -304,7 +300,8 @@ class TestPsdCholesky:
     @given(hyperparams)
     @settings(max_examples=40, deadline=None)
     def test_factorises_sigma(self, hp):
-        _, sigma = matrix_fraction_decomposition(build_drift_matrix(hp), hp.q0, hp.dt)
+        _, sigma = matrix_fraction_decomposition(build_drift_matrix(hp), hp.dt)
+        sigma = hp.q0 * sigma
         h = psd_cholesky(sigma)
         assert h[0, 1] == 0.0
         np.testing.assert_allclose(h @ h.T, sigma, rtol=0, atol=1e-13)
@@ -334,7 +331,7 @@ class TestPsdCholesky:
     def test_short_interval_keeps_full_factor(self):
         # Sigma(dt = 1e-6) has a position variance of ~3e-19: tiny, but
         # positive definite at the matrix's own scale
-        _, sigma = matrix_fraction_decomposition(build_drift_matrix(Hyperparams()), 1.0, 1e-6)
+        _, sigma = matrix_fraction_decomposition(build_drift_matrix(Hyperparams()), 1e-6)
         h = psd_cholesky(sigma)
         assert h[0, 0] > 0.0
         assert max_rel_err(h @ h.T, sigma) < 1e-14
@@ -469,12 +466,23 @@ class TestKernelAndSampling:
             sample_transition(kernel, np.ones(shape), var, np.random.default_rng(0))
 
     def test_stack_product_matches_the_transposed_view(self):
-        # the cached contiguous transposes give the bytes of x @ m.T
+        # the transposes of the column-major A and H give the bytes of the
+        # transposed view of a row-major copy
         kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
-        assert kernel.a_t.flags.c_contiguous and kernel.h_t.flags.c_contiguous
+        assert kernel.a.T.flags.c_contiguous and kernel.h.T.flags.c_contiguous
         x = np.random.default_rng(4).standard_normal((300, 2)) * 10.0 ** np.arange(-5, 5, 1 / 30)[:, None]
-        for m, m_t in ((kernel.a, kernel.a_t), (kernel.h, kernel.h_t)):
-            assert _matvec(m_t, x).tobytes() == (x @ m.T).tobytes()
+        for m in (kernel.a, kernel.h):
+            assert _matvec(m.T, x).tobytes() == (x @ np.ascontiguousarray(m).T).tobytes()
+
+    def test_a_and_h_are_read_only_and_column_major(self):
+        # also where a field is replaced by a row-major, writable copy
+        kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
+        replaced = dataclasses.replace(kernel, a=kernel.a.copy(), h=kernel.h.copy())
+        for k in (kernel, replaced):
+            for m in (k.a, k.h):
+                assert m.flags.f_contiguous and not m.flags.c_contiguous and not m.flags.writeable
+        np.testing.assert_array_equal(replaced.a, kernel.a)
+        np.testing.assert_array_equal(replaced.h, kernel.h)
 
     def test_sample_moments(self):
         kernel = build_kernel(Hyperparams())

@@ -116,6 +116,16 @@ class TestJsonl:
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: not a JSON object: {line}")):
             read_jsonl(path)
 
+    def test_read_names_file_line_and_run_of_a_record_that_fails_its_check(self, tmp_path):
+        # a history cut short failed later, inside NumPy, naming no file
+        path = tmp_path / "records.jsonl"
+        rec = make_record(run_id="y")
+        del rec.history[2:]
+        write_jsonl([make_record(), rec], path)
+        error = f"{path}, line 2: y: 2 history entries for 3 generations"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            read_jsonl(path)
+
     def test_read_defaults_params_and_duration(self, tmp_path):
         path = tmp_path / "records.jsonl"
         obj = make_record().to_json_dict(include_duration=False)

@@ -173,6 +173,7 @@ DECLARED = {
     "BenchmarkSuite.pop": ">= 1",
     "BenchmarkSuite.gens": ">= 0",
     "BenchmarkSuite.reps": ">= 1",
+    "BenchmarkSuite.base_seed": ">= 0",
     "BenchmarkSuite.griewangk_denominator": "> 0",
 }
 # config type -> (builder taking one setting by keyword, label its errors put before the field)
