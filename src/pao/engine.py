@@ -13,7 +13,9 @@ the swarm it moves, so no run state carries it.
 
 The run contract every optimiser shares lives here too: ``drive`` seeds,
 starts, moves and logs one run, and ``update_archive`` evaluates each
-generation's trials and folds them into the best archives.  A trial outside
+generation's trials and folds them into the best archives, the start's
+included: generation 0 is the fold of the starting draws into empty
+archives, so every evaluation of a run goes through it.  A trial outside
 the problem's box never enters an archive; clipping and reflecting keep
 every trial inside it, so only the PAO step under ``bounds_policy="none"``
 asks ``update_archive`` to test the trials against the box.
@@ -152,20 +154,17 @@ def apply_bounds(pos, vel, lower, upper, policy):
 
 
 def _start_swarm(problem: Problem, n: int, rng, v_half=None) -> Swarm:
+    """Generation 0: uniform draws in the box folded into empty archives."""
     d = problem.dim
     pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
     vel = np.zeros((n, d)) if v_half is None else rng.uniform(-v_half, v_half, size=(n, d))
-    fitness = evaluate_population(problem, pos)
-    best = int(np.argmin(fitness))
-    return Swarm(
-        positions=pos,
-        velocities=vel,
-        fitness=fitness,
-        local_best_pos=pos.copy(),
-        local_best_fit=fitness.copy(),
-        global_best_pos=pos[best].copy(),
-        global_best_fit=float(fitness[best]),
+    # +inf bests at generation -1: every finite trial enters the archives
+    inf = np.full(n, np.inf)
+    empty = Swarm(
+        positions=pos, velocities=vel, fitness=inf, local_best_pos=pos, local_best_fit=inf,
+        global_best_pos=pos[0], global_best_fit=np.inf, generation=-1,
     )
+    return update_archive(empty, pos, vel, problem)[0]
 
 
 def initialize_swarm(problem: Problem, n: int, cfg: PaoConfig, rng) -> Swarm:
@@ -252,10 +251,10 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
     ``optimizer`` can run with a population of n, seeds one generator, starts
     the population (``start(n, rng)``, by default uniform in the box with
     zero velocities), then applies ``move(swarm, rng)`` ``generations``
-    times, logging the best-so-far after each generation.  The start
-    evaluates the n starting positions (in ``_start_swarm``) and each
-    generation's n trials go through :func:`update_archive`, so a run uses
-    exactly n * (generations + 1) evaluations.  Beside the history the
+    times, logging the best-so-far after each generation.  The n starting
+    positions and each generation's n trials go through
+    :func:`update_archive`, which evaluates them, so a run uses exactly
+    n * (generations + 1) evaluations.  Beside the history the
     record keeps, in memory only, each generation's best position.
     """
     n = to_int("population size", n, ">= 1")

@@ -162,6 +162,15 @@ class Hyperparams:
         object.__setattr__(self, "k", tuple(to_float("k", v, ">= 0", strings=True) for v in self.k))
         if not (self.k_total > 0):
             raise ValueError("at least one stiffness must be strictly positive")
+        # F's entries k'/m and 2 zeta sqrt(k'/m), in float arithmetic, which
+        # gives inf where they overflow and warns of nothing
+        wn2 = self.k_total / self.m
+        damping = 2.0 * math.sqrt(wn2) * self.zeta
+        if not (math.isfinite(wn2) and math.isfinite(damping)):
+            raise ValueError(
+                f"k = {list(self.k)}, m = {self.m} and zeta = {self.zeta} give a drift matrix "
+                f"that is not finite: k'/m = {wn2}, 2 zeta sqrt(k'/m) = {damping}"
+            )
 
     @property
     def k_total(self) -> float:

@@ -13,12 +13,17 @@ round trip are built from it.  The one field kept in memory only is
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 SERIALISED_FIELDS = (
     "run_id", "optimizer", "problem", "dim", "seed", "pop", "gens", "evals", "params", "history",
     "duration_ms",
 )
+
+_HISTORY_KEYS = {"g", "best", "mean", "shifted_best"}
+# plain type tests: numbers.Real checks cost about five times as much per record
+_NUMBER = (int, float)
 
 
 @dataclass
@@ -44,7 +49,29 @@ class RunRecord:
         return self.history[-1]["shifted_best"]
 
     def check(self):
-        """Raise if the record violates its contract."""
+        """Raise ``ValueError`` naming the run if the record violates its
+        contract: integer counts; a history list of gens + 1 entries
+        ``{g, best, mean, shifted_best}``, g the entry's index, with finite
+        bests and a numeric mean (the mean of finite values may overflow);
+        a best that never rises; a shifted best never below zero."""
+        for key in ("dim", "seed", "pop", "gens", "evals"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{self.run_id}: {key} must be an integer, got {getattr(self, key)!r}")
+        if type(self.history) is not list:
+            raise ValueError(f"{self.run_id}: history must be a list, got {self.history!r}")
+        for g, h in enumerate(self.history):
+            if type(h) is not dict or h.keys() != _HISTORY_KEYS or type(h["g"]) is not int or h["g"] != g:
+                raise ValueError(
+                    f"{self.run_id}: history entry {g} is not {{g: {g}, best, mean, shifted_best}}: {h!r}"
+                )
+            if not (
+                type(h["best"]) in _NUMBER and math.isfinite(h["best"])
+                and type(h["shifted_best"]) in _NUMBER and math.isfinite(h["shifted_best"])
+                and type(h["mean"]) in _NUMBER
+            ):
+                raise ValueError(
+                    f"{self.run_id}: history entry {g} needs finite numeric bests and a numeric mean: {h!r}"
+                )
         if len(self.history) != self.gens + 1:
             raise ValueError(
                 f"{self.run_id}: {len(self.history)} history entries for {self.gens} generations"

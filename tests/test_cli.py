@@ -236,6 +236,17 @@ class TestBenchAndPlotData:
             main(["bench", "--suite", "2d", "--out", str(out), "--config", str(cfg)])
         assert runs == [] and not out.exists()
 
+    def test_bench_rejects_a_drift_matrix_that_overflows_before_any_run(self, tmp_path, monkeypatch):
+        # the suite started and failed inside the worker pool
+        runs = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": [1e308, 1e308]}))
+        out = tmp_path / "suite"
+        with pytest.raises(ValueError, match="give a drift matrix that is not finite"):
+            main(["bench", "--suite", "2d", "--optimizers", "pso,pao", "--out", str(out), "--config", str(cfg)])
+        assert runs == [] and not out.exists()
+
     def test_bench_rejects_a_repeated_optimizer_before_any_run(self, tmp_path, monkeypatch):
         runs = []
         monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))

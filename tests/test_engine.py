@@ -14,6 +14,7 @@ from pao.attractors import AttractorSpec, compute_attractors, noise_scale, weigh
 from pao.baselines import PsoConfig
 from pao.benchmarks import make_problem
 from pao.engine import (
+    VELOCITY_INITS,
     ObjectiveEvaluationError,
     PaoConfig,
     Swarm,
@@ -246,6 +247,37 @@ class TestInitialize:
         with pytest.raises(ValueError, match="population"):
             initialize_swarm(make_problem("dejong", 2), 0, PaoConfig(), np.random.default_rng(0))
 
+    @staticmethod
+    def reference_start(problem, n, rng, v_half=None):
+        """The start built by hand: one evaluation, argmin and copies."""
+        d = problem.dim
+        pos = rng.uniform(problem.lower, problem.upper, size=(n, d))
+        vel = np.zeros((n, d)) if v_half is None else rng.uniform(-v_half, v_half, size=(n, d))
+        fitness = np.asarray(problem.evaluate(pos), dtype=float)
+        best = int(np.argmin(fitness))
+        return Swarm(
+            positions=pos, velocities=vel, fitness=fitness, local_best_pos=pos.copy(),
+            local_best_fit=fitness.copy(), global_best_pos=pos[best].copy(), global_best_fit=float(fitness[best]),
+        )
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("velocity_init", VELOCITY_INITS)
+    def test_start_is_the_hand_built_start_byte_for_byte(self, n, velocity_init):
+        problem = make_problem("rastrigin", 3)
+        cfg = PaoConfig(hp=Hyperparams(dt=0.5), velocity_init=velocity_init)
+        v_half = None if velocity_init == "zero" else (problem.upper - problem.lower) / (2.0 * cfg.hp.dt)
+        want = self.reference_start(problem, n, np.random.default_rng(11), v_half)
+        for got in (
+            engine._start_swarm(problem, n, np.random.default_rng(11), v_half),
+            initialize_swarm(problem, n, cfg, np.random.default_rng(11)),
+        ):
+            for f in ("positions", "velocities", "fitness", "local_best_pos", "local_best_fit", "global_best_pos"):
+                a, b = getattr(got, f), getattr(want, f)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f
+            assert type(got.global_best_fit) is float
+            assert got.global_best_fit.hex() == want.global_best_fit.hex()
+            assert got.generation == want.generation == 0
+
 
 class TestEvaluatePopulation:
     def test_non_finite_raises(self):
@@ -307,7 +339,28 @@ class TestUpdateArchive:
 
         monkeypatch.setattr(engine, "update_archive", watched)
         run_pao(make_problem("rastrigin", 2), 8, 3, PaoConfig(bounds_policy=policy), seed=0)
-        assert seen == [asked] * 3
+        # the start draws inside the box, so its fold never asks
+        assert seen == [False] + [asked] * 3
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZER_IDS)
+    def test_every_evaluation_of_a_run_is_folded(self, monkeypatch, optimizer):
+        problem = CountingProblem(make_problem("rastrigin", 3))
+        archive = engine.update_archive
+        rows = []
+
+        def watched(*args, **kwargs):
+            before = problem.rows
+            out = archive(*args, **kwargs)
+            rows.append(problem.rows - before)
+            return out
+
+        monkeypatch.setattr(engine, "update_archive", watched)
+        monkeypatch.setattr(baselines, "update_archive", watched)
+        runner, cfg = RUNNERS[optimizer]
+        rec = runner(problem, 12, 5, cfg, 7)
+        # the start's fold, then one per generation, each evaluating n rows
+        assert rows == [12] * 6
+        assert problem.rows == 12 * 6 == rec.evals
 
 
 class TestStep:
@@ -583,7 +636,7 @@ class TestSwarmContract:
                 seen.append((swarm, {f: np.copy(getattr(swarm, f)) for f in self.FIELDS}))
             return swarm
 
-        start, archive = engine._start_swarm, engine.update_archive
+        archive = engine.update_archive
         moves = []
 
         def watched_archive(swarm, *args, **kwargs):
@@ -591,12 +644,12 @@ class TestSwarmContract:
             moves.append((swarm, keep(out)))
             return out, improved
 
-        monkeypatch.setattr(engine, "_start_swarm", lambda *a, **kw: keep(start(*a, **kw)))
         monkeypatch.setattr(engine, "update_archive", watched_archive)
         monkeypatch.setattr(baselines, "update_archive", watched_archive)
         problem = make_problem("rastrigin", d)
         run_one(optimizer, problem, n, gens, 7, cfg)
-        assert len(moves) == gens
+        # the first fold is the start's, from the empty archives of generation -1
+        assert len(moves) == gens + 1
         return problem, seen, moves
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,29 @@ class TestHyperparams:
     def test_rejects_non_finite(self, field, kwargs):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             Hyperparams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, entries",
+        # k' = inf, k'/m = inf and 2 zeta sqrt(k'/m) = inf: each was built and
+        # failed only in build_kernel, after an overflow warning, naming no setting
+        [
+            (dict(k=(1e308, 1e308)), "k'/m = inf, 2 zeta sqrt(k'/m) = inf"),
+            (dict(m=5e-324, k=(1.0,)), "k'/m = inf, 2 zeta sqrt(k'/m) = inf"),
+            (dict(zeta=1e300, k=(1e20,)), "k'/m = 1e+20, 2 zeta sqrt(k'/m) = inf"),
+        ],
+    )
+    def test_rejects_a_drift_matrix_that_overflows(self, kwargs, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^k = \[.*\], m = .* and zeta = .* give a drift matrix") as err:
+                Hyperparams(**kwargs)
+        assert str(err.value).endswith(f"that is not finite: {entries}")
+
+    def test_drift_matrix_at_the_edge_of_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = build_drift_matrix(Hyperparams(k=(1.7e308,), zeta=0.0))
+        assert np.isfinite(f).all() and f[1, 0] == -1.7e308
 
     def test_zero_stiffness_allowed_when_total_positive(self):
         assert Hyperparams(k=(0.0, 1.0)).k_total == 1.0

@@ -1,6 +1,7 @@
 """Run-record schema and JSONL round-trip tests."""
 
 import json
+import math
 import re
 
 import pytest
@@ -125,6 +126,42 @@ class TestJsonl:
         error = f"{path}, line 2: y: 2 history entries for 3 generations"
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             read_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "case, edit, error",
+        # each read cleanly or escaped as a bare KeyError or TypeError
+        [
+            ("no best", lambda r: r["history"][1].pop("best"), "history entry 1 is not {g: 1, "),
+            ("no shifted_best", lambda r: r["history"][1].pop("shifted_best"), "history entry 1 is not {g: 1, "),
+            ("no g", lambda r: r["history"][1].pop("g"), "history entry 1 is not {g: 1, "),
+            ("g not its index", lambda r: r["history"][1].update(g=5), "history entry 1 is not {g: 1, "),
+            ("an extra key", lambda r: r["history"][1].update(x=0), "history entry 1 is not {g: 1, "),
+            ("entry a list", lambda r: r["history"].__setitem__(1, [1, 2.0, 3.0, 2.0]), "history entry 1 is not"),
+            ("best text", lambda r: r["history"][1].update(best="x"), "history entry 1 needs finite numeric bests"),
+            ("best null", lambda r: r["history"][1].update(best=None), "history entry 1 needs finite numeric bests"),
+            ("best nan", lambda r: r["history"][1].update(best=math.nan), "history entry 1 needs finite numeric"),
+            ("shifted_best inf", lambda r: r["history"][3].update(shifted_best=math.inf), "history entry 3 needs"),
+            ("mean text", lambda r: r["history"][0].update(mean="1"), "history entry 0 needs finite numeric bests"),
+            ("history a number", lambda r: r.update(history=5), "history must be a list, got 5"),
+            ("gens text", lambda r: r.update(gens="2"), "gens must be an integer, got '2'"),
+            ("dim a bool", lambda r: r.update(dim=True), "dim must be an integer, got True"),
+        ],
+    )
+    def test_read_names_file_line_and_run_of_a_malformed_record(self, tmp_path, case, edit, error):
+        path = tmp_path / "records.jsonl"
+        obj = make_record(run_id="y").to_json_dict()
+        edit(obj)
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 1: y: {error}')}"):
+            read_jsonl(path)
+
+    def test_read_takes_a_mean_that_overflowed(self, tmp_path):
+        # the mean of finite fitness values can overflow to inf
+        path = tmp_path / "records.jsonl"
+        rec = make_record()
+        rec.history[0]["mean"] = math.inf
+        write_jsonl([rec], path)
+        assert read_jsonl(path)[0].history[0]["mean"] == math.inf
 
     def test_read_defaults_params_and_duration(self, tmp_path):
         path = tmp_path / "records.jsonl"

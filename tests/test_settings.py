@@ -178,7 +178,8 @@ DECLARED = {
 }
 # config type -> (builder taking one setting by keyword, label its errors put before the field)
 BUILDERS = {
-    Hyperparams: (Hyperparams, ""),
+    # the least stiffness, so that the least m (5e-324) still gives a finite drift matrix
+    Hyperparams: (lambda **kw: Hyperparams(k=(5e-324,), **kw), ""),
     PaoConfig: (PaoConfig, ""),
     AttractorSpec: (lambda **kw: AttractorSpec("stochasticgaussian", **kw), "attractor spec stochasticgaussian: "),
     PsoConfig: (PsoConfig, "PsoConfig."),
