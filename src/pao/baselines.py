@@ -25,7 +25,15 @@ from .records import RunRecord
 
 
 @dataclass(frozen=True)
-class PsoConfig:
+class _Config:
+    """Reads its fields by type and domain; errors name ``<Config>.<field>``."""
+
+    def __post_init__(self):
+        read_fields(self, f"{type(self).__name__}.")
+
+
+@dataclass(frozen=True)
+class PsoConfig(_Config):
     """Inertia-weight PSO: w decays linearly over the run, velocity clamped
     to a fraction of the domain width."""
 
@@ -36,35 +44,26 @@ class PsoConfig:
     # crossed clip bounds pin every velocity to vmax < 0, and 0 freezes the swarm
     vmax_frac: float = setting(0.5, "> 0")
 
-    def __post_init__(self):
-        read_fields(self, "PsoConfig.")
-
 
 @dataclass(frozen=True)
-class QpsoConfig:
+class QpsoConfig(_Config):
     """Quantum-behaved PSO: contraction-expansion coefficient decays
     linearly; attraction around the mean of the personal bests."""
 
     alpha_start: float = 1.0
     alpha_end: float = 0.5
 
-    def __post_init__(self):
-        read_fields(self, "QpsoConfig.")
-
 
 @dataclass(frozen=True)
-class DeConfig:
+class DeConfig(_Config):
     """rand/1/bin differential evolution with greedy selection."""
 
     f_de: float = 0.5
     cr: float = setting(0.9, "in [0, 1]")
 
-    def __post_init__(self):
-        read_fields(self, "DeConfig.")
-
 
 @dataclass(frozen=True)
-class SadeConfig:
+class SadeConfig(_Config):
     """Self-adaptive DE: two-strategy pool with success-history strategy
     probabilities, per-individual CR and F drawn from normals."""
 
@@ -73,9 +72,6 @@ class SadeConfig:
     cr_std: float = setting(0.1, ">= 0")
     f_mean: float = 0.5
     f_std: float = setting(0.3, ">= 0")
-
-    def __post_init__(self):
-        read_fields(self, "SadeConfig.")
 
 
 def _schedule(start, end, swarm, generations):

@@ -22,7 +22,7 @@ asks ``update_archive`` to test the trials against the box.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -77,12 +77,12 @@ class PaoConfig:
             )
 
     def params_dict(self) -> dict:
+        """The run's ``params``: every :class:`Hyperparams` field in declared
+        order (``k`` as a list), then the attractor labels and the two
+        policies."""
         return {
-            "m": self.hp.m,
-            "zeta": self.hp.zeta,
+            **asdict(self.hp),
             "k": list(self.hp.k),
-            "q0": self.hp.q0,
-            "dt": self.hp.dt,
             "attractors": [s.label() for s in self.specs],
             "bounds_policy": self.bounds_policy,
             "velocity_init": self.velocity_init,
@@ -99,9 +99,10 @@ class PaoConfig:
         specs = base.specs
         if "attractors" in params:
             specs = tuple(map(AttractorSpec.parse, to_items("attractors", params["attractors"])))
-        given = {key: params[key] for key in ("m", "zeta", "q0", "dt") if key in params}
+        hp = {f.name: params[f.name] for f in fields(Hyperparams) if f.name in params}
+        hp.setdefault("k", (1.0,) * len(specs))
         return cls(
-            hp=replace(base.hp, k=params.get("k", (1.0,) * len(specs)), **given),
+            hp=replace(base.hp, **hp),
             specs=specs,
             bounds_policy=params.get("bounds_policy", base.bounds_policy),
             velocity_init=params.get("velocity_init", base.velocity_init),

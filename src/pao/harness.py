@@ -101,9 +101,6 @@ class BenchmarkSuite:
             for spec in self.pao.specs:
                 check_pop(spec.kind, self.pop)
 
-    def config_for(self, optimizer: str):
-        return getattr(self, optimizer)
-
 
 def standard_suite(which: str, **overrides) -> BenchmarkSuite:
     """The stock 2d / 8d / all benchmark suites over all nine problems."""
@@ -171,7 +168,7 @@ def run_suite(suite: BenchmarkSuite, out_path) -> dict:
     problems = [make_problem(name, dim, suite.griewangk_denominator) for name, dim in suite.problems]
     jobs = [
         (opt, problem, suite.pop, suite.gens,
-         [derive_seed(suite.base_seed, oi, pi, rep) for rep in range(suite.reps)], suite.config_for(opt))
+         [derive_seed(suite.base_seed, oi, pi, rep) for rep in range(suite.reps)], getattr(suite, opt))
         for oi, opt in enumerate(suite.optimizers)
         for pi, problem in enumerate(problems)
     ]

@@ -207,9 +207,12 @@ def matrix_fraction_decomposition(f, dt: float):
     """Transition matrix and unit-diffusion noise covariance of the 2x2 SDE.
 
     The Van Loan block Phi = [[F, L L^T], [0, -F^T]] (unit diffusion,
-    L = (0, 1)^T) is exponentiated over h = dt / 2^s, with s the smallest
-    integer such that ||F||_1 h < 1/2, by a Taylor polynomial.  Its blocks
-    give A_h and Sigma_h = UR @ inv(LR).  LR = e^{-F^T h} has the exact
+    L = (0, 1)^T) is exponentiated over h = dt / 2^s, with s at most one
+    more than the smallest integer such that ||F||_1 h < 1/2, by a Taylor
+    polynomial.  s is read from the binary exponent of 2 ||F||_1 dt, or,
+    where that product overflows, as the sum of the exponents of 2 ||F||_1
+    and of dt, so every finite dt > 0 builds.  Its blocks give A_h and
+    Sigma_h = UR @ inv(LR).  LR = e^{-F^T h} has the exact
     inverse e^{F^T h} = A_h^T, so Sigma_h = UR @ A_h^T needs no solve and no
     singularity test.  The interval is then doubled s times with
     Sigma <- A Sigma A^T + Sigma and A <- A^2.  This never forms
@@ -221,8 +224,10 @@ def matrix_fraction_decomposition(f, dt: float):
     if not np.all(np.isfinite(f)):
         raise ValueError(f"drift matrix must be finite, got {f.tolist()}")
     dt = to_float("dt", dt, "> 0")
-    s = max(0, math.frexp(2.0 * np.abs(f).sum(axis=0).max() * dt)[1])
-    h = dt / 2.0**s
+    norm2 = 2.0 * float(np.abs(f).sum(axis=0).max())
+    span = norm2 * dt
+    s = max(0, math.frexp(span)[1] if math.isfinite(span) else math.frexp(norm2)[1] + math.frexp(dt)[1])
+    h = math.ldexp(dt, -s)
     phi = np.zeros((4, 4))
     phi[:2, :2] = f * h
     phi[1, 3] = h  # L L^T with L = (0, 1)^T

@@ -16,6 +16,9 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
+from .benchmarks import PROBLEM_NAMES
+from .kernel import to_int
+
 SERIALISED_FIELDS = (
     "run_id", "optimizer", "problem", "dim", "seed", "pop", "gens", "evals", "params", "history",
     "duration_ms",
@@ -24,6 +27,20 @@ SERIALISED_FIELDS = (
 _HISTORY_KEYS = {"g", "best", "mean", "shifted_best"}
 # plain type tests: numbers.Real checks cost about five times as much per record
 _NUMBER = (int, float)
+# declared type -> (the types a read value may have, its name in errors);
+# tested by type(), so a bool is no count
+_READ_TYPES = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: (_NUMBER, "a number"),
+    list: ((list,), "a list"),
+    dict: ((dict,), "a dict"),
+}
+
+
+def _count(domain):
+    """A count field whose value :meth:`RunRecord.check` reads in ``domain``."""
+    return field(metadata={"domain": domain})
 
 
 @dataclass
@@ -31,10 +48,10 @@ class RunRecord:
     run_id: str
     optimizer: str
     problem: str
-    dim: int
-    seed: int
-    pop: int
-    gens: int
+    dim: int = _count(">= 1")
+    seed: int = _count(">= 0")
+    pop: int = _count(">= 1")
+    gens: int = _count(">= 0")
     evals: int
     history: list
     duration_ms: float = 0.0
@@ -50,15 +67,26 @@ class RunRecord:
 
     def check(self):
         """Raise ``ValueError`` naming the run if the record violates its
-        contract: integer counts; a history list of gens + 1 entries
-        ``{g, best, mean, shifted_best}``, g the entry's index, with finite
-        bests and a numeric mean (the mean of finite values may overflow);
-        a best that never rises; a shifted best never below zero."""
-        for key in ("dim", "seed", "pop", "gens", "evals"):
-            if type(getattr(self, key)) is not int:
-                raise ValueError(f"{self.run_id}: {key} must be an integer, got {getattr(self, key)!r}")
-        if type(self.history) is not list:
-            raise ValueError(f"{self.run_id}: history must be a list, got {self.history!r}")
+        contract: every serialised field of its declared type (a count is an
+        int, not a bool); a catalogue problem; dim and pop >= 1, gens and
+        seed >= 0, and the pop * (gens + 1) evaluations every run makes; a
+        history list of gens + 1 entries ``{g, best, mean, shifted_best}``,
+        g the entry's index, with finite bests and a numeric mean (the mean
+        of finite values may overflow); a best that never rises; a shifted
+        best never below zero."""
+        for f in _SERIALISED:
+            value = getattr(self, f.name)
+            types, noun = _READ_TYPES[f.type]
+            if type(value) not in types:
+                raise ValueError(f"{self.run_id}: {f.name} must be {noun}, got {value!r}")
+            if "domain" in f.metadata:
+                to_int(f"{self.run_id}: {f.name}", value, f.metadata["domain"])
+        if self.problem not in PROBLEM_NAMES:
+            raise ValueError(f"{self.run_id}: problem must be one of {PROBLEM_NAMES}, got {self.problem!r}")
+        if self.evals != self.pop * (self.gens + 1):
+            raise ValueError(
+                f"{self.run_id}: evals must be pop * (gens + 1) = {self.pop * (self.gens + 1)}, got {self.evals}"
+            )
         for g, h in enumerate(self.history):
             if type(h) is not dict or h.keys() != _HISTORY_KEYS or type(h["g"]) is not int or h["g"] != g:
                 raise ValueError(
@@ -91,12 +119,9 @@ class RunRecord:
         return {key: getattr(self, key) for key in SERIALISED_FIELDS if key not in skip}
 
 
+_SERIALISED = tuple(f for f in fields(RunRecord) if f.name in SERIALISED_FIELDS)
 # the serialised fields without a default: a line must give each of them
-_REQUIRED_FIELDS = tuple(
-    f.name
-    for f in fields(RunRecord)
-    if f.name in SERIALISED_FIELDS and f.default is MISSING and f.default_factory is MISSING
-)
+_REQUIRED_FIELDS = tuple(f.name for f in _SERIALISED if f.default is MISSING and f.default_factory is MISSING)
 
 
 def history_entry(g: int, best: float, mean: float, shifted_best: float) -> dict:

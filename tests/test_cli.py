@@ -356,6 +356,19 @@ class TestBenchAndPlotData:
             main(["plot-data", "--in", str(tmp_path), "--out", str(tmp_path / "plots")])
         assert not (tmp_path / "plots").exists()
 
+    def test_plot_data_of_a_record_whose_problem_is_a_path_writes_nothing(self, tmp_path):
+        # the plot of problem "../../escaped" was written two levels above --out
+        rec = run_one("pso", make_problem("dejong", 2), 4, 1, seed=0)
+        rec.problem = "../../escaped"
+        write_jsonl([rec], tmp_path / "records.jsonl")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pao.cli", "plot-data", "--in", str(tmp_path), "--out", str(tmp_path / "x" / "y")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert re.search(r"ValueError: \S*records\.jsonl, line 1: .*: problem must be one of", proc.stderr)
+        assert [p.name for p in tmp_path.rglob("*")] == ["records.jsonl"]
+
 
 class TestEntryPoint:
     def test_console_script_help(self):

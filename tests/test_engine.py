@@ -3,7 +3,7 @@ generation step contract and end-to-end run reproducibility."""
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -75,6 +75,14 @@ class TestConfig:
         params = cfg.params_dict()
         assert params["attractors"] == ["globalbest", "stochasticgaussian:0.5"]
         assert params["k"] == [1.0, 0.5]
+
+    def test_params_keys_are_the_hyperparams_fields_then_the_menu_and_policies(self):
+        keys = [f.name for f in fields(Hyperparams)] + ["attractors", "bounds_policy", "velocity_init"]
+        assert list(PaoConfig().params_dict()) == keys
+
+    def test_params_round_trip_non_default_hyperparams(self):
+        cfg = PaoConfig(hp=Hyperparams(m=2.5, zeta=0.7, k=(0.25, 3.0), q0=0.125, dt=0.5))
+        assert PaoConfig.from_params(cfg.params_dict()) == cfg
 
     def test_from_params_defaults(self):
         assert PaoConfig.from_params({}) == PaoConfig()

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -233,11 +234,6 @@ class TestSuiteConfig:
     def test_same_problem_in_two_dimensions_is_two_cells(self):
         assert tiny_suite(problems=(("dejong", 2), ("dejong", 3))).problems == (("dejong", 2), ("dejong", 3))
 
-    def test_config_for(self):
-        suite = tiny_suite(de=DeConfig(cr=0.7))
-        assert isinstance(suite.config_for("pao"), PaoConfig)
-        assert suite.config_for("de").cr == 0.7
-
 
 class TestRunOne:
     @pytest.mark.parametrize("opt", ["pao", "pso", "qpso", "de", "sade"])
@@ -354,6 +350,12 @@ class TestRunSuite:
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk == summary
         assert len(summary["entries"]) == 4
+
+    def test_each_cell_runs_with_its_optimizers_config(self, tmp_path):
+        run_suite(tiny_suite(optimizers=("pso", "de"), de=DeConfig(cr=0.7), reps=1), tmp_path)
+        params = {rec.optimizer: rec.params for rec in read_jsonl(tmp_path / "records.jsonl")}
+        assert params["de"]["cr"] == 0.7
+        assert params["pso"] == asdict(PsoConfig())
 
     def test_reruns_are_identical_sans_duration(self, tmp_path):
         suite = tiny_suite()

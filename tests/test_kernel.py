@@ -298,6 +298,19 @@ class TestMatrixFractionDecomposition:
         p_inf = np.diag([1.0 / (4.0 * hp.zeta * wn**3), 1.0 / (4.0 * hp.zeta * wn)])
         np.testing.assert_allclose(sigma, p_inf, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("dt", [4e307, 1e308, 1.7e308])
+    def test_builds_a_damped_kernel_for_a_dt_near_the_float_maximum(self, dt):
+        # dt / 2**s overflowed at s = 1024, and at 1e308 2 ||F||_1 dt overflowed
+        # to s = 0 and non-finite A and Sigma
+        ref = build_kernel(Hyperparams(dt=1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = build_kernel(Hyperparams(dt=dt))
+        np.testing.assert_array_equal(kernel.a, np.zeros((2, 2)))
+        np.testing.assert_allclose(
+            kernel.sigma_unit, ref.sigma_unit, rtol=0, atol=1e-12 * np.abs(ref.sigma_unit).max()
+        )
+
 
 class TestReferenceGrid:
     def test_matches_high_precision_reference(self):

@@ -155,6 +155,34 @@ class TestJsonl:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 1: y: {error}')}"):
             read_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "key, value, error",
+        # each read cleanly, and plot-data then wrote outside its directory,
+        # wrote a plot under a bad name or failed naming no file
+        [
+            ("problem", "../../escaped", "y: problem must be one of ("),
+            ("problem", 5, "y: problem must be a string, got 5"),
+            ("optimizer", None, "y: optimizer must be a string, got None"),
+            ("run_id", 7, "7: run_id must be a string, got 7"),
+            ("params", 5, "y: params must be a dict, got 5"),
+            ("duration_ms", "x", "y: duration_ms must be a number, got 'x'"),
+            ("duration_ms", True, "y: duration_ms must be a number, got True"),
+            ("dim", 0, "y: dim must be >= 1, got 0"),
+            ("pop", -1, "y: pop must be >= 1, got -1"),
+            ("gens", -1, "y: gens must be >= 0, got -1"),
+            ("seed", -1, "y: seed must be >= 0, got -1"),
+            ("evals", -3, "y: evals must be pop * (gens + 1) = 20, got -3"),
+            ("evals", 21, "y: evals must be pop * (gens + 1) = 20, got 21"),
+        ],
+    )
+    def test_read_rejects_a_field_of_the_wrong_type_or_range(self, tmp_path, key, value, error):
+        path = tmp_path / "records.jsonl"
+        obj = make_record(run_id="y").to_json_dict()
+        obj[key] = value
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 1: {error}')}"):
+            read_jsonl(path)
+
     def test_read_takes_a_mean_that_overflowed(self, tmp_path):
         # the mean of finite fitness values can overflow to inf
         path = tmp_path / "records.jsonl"
