@@ -78,11 +78,10 @@ class PaoConfig:
 
     def params_dict(self) -> dict:
         """The run's ``params``: every :class:`Hyperparams` field in declared
-        order (``k`` as a list), then the attractor labels and the two
-        policies."""
+        order (a tuple, such as ``k``, as a list), then the attractor labels
+        and the two policies."""
         return {
-            **asdict(self.hp),
-            "k": list(self.hp.k),
+            **{key: list(v) if type(v) is tuple else v for key, v in asdict(self.hp).items()},
             "attractors": [s.label() for s in self.specs],
             "bounds_policy": self.bounds_policy,
             "velocity_init": self.velocity_init,
