@@ -2,7 +2,7 @@
 
 One generation: compute attractors, shift positions into attractor-centred
 coordinates, advance every (position, velocity) pair exactly through the
-precomputed Gaussian transition kernel, shift back, apply the bounds policy
+config's Gaussian transition kernel, shift back, apply the bounds policy
 and update the best archives.  The state of N particles in D dimensions is
 two (N, D) arrays, positions and velocities; the step stacks them into one
 (N, D, 2) state only for its one call to the kernel's sampler,
@@ -22,7 +22,7 @@ asks ``update_archive`` to test the trials against the box.
 """
 
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,12 +59,14 @@ class Swarm:
 @dataclass(frozen=True)
 class PaoConfig:
     """Optimiser configuration: dynamics hyperparameters, one stiffness per
-    attractor, and the artifact-level policies the dynamics do not fix."""
+    attractor, the artifact-level policies the dynamics do not fix, and the
+    derived ``kernel`` of ``hp``, built (or refused) when the config is made."""
 
     hp: Hyperparams = Hyperparams()
     specs: tuple = (AttractorSpec("localbest"), AttractorSpec("globalbest"))
     bounds_policy: str = setting("clip", BOUNDS_POLICIES)
     velocity_init: str = setting("zero", VELOCITY_INITS)
+    kernel: TransitionKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         read_fields(self)
@@ -75,6 +77,7 @@ class PaoConfig:
             raise ValueError(
                 f"{len(self.specs)} attractor specs but {len(self.hp.k)} stiffnesses"
             )
+        object.__setattr__(self, "kernel", build_kernel(self.hp))
 
     def params_dict(self) -> dict:
         """The run's ``params``: every :class:`Hyperparams` field in declared
@@ -221,14 +224,14 @@ def update_archive(
     ), improved
 
 
-def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: Problem, rng) -> Swarm:
+def step_swarm(swarm: Swarm, cfg: PaoConfig, problem: Problem, rng) -> Swarm:
     """Advance the swarm one generation; returns a new Swarm.
 
     The centred positions and the velocities are stacked into one (N, D, 2)
     state, the only place that layout exists, which moves through one
-    ``sample_transition`` call at noise variance q0 * nu, where nu is
-    ``noise_scale(swarm)``, computed here and nowhere else; that call draws
-    one (N, D, 2) block from ``rng``.
+    ``sample_transition`` call on ``cfg.kernel`` at noise variance q0 * nu,
+    where nu is ``noise_scale(swarm)``, computed here and nowhere else; that
+    call draws one (N, D, 2) block from ``rng``.
     """
     centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, rng), cfg.hp.k)
     nu = noise_scale(swarm)
@@ -237,7 +240,7 @@ def step_swarm(swarm: Swarm, kernel: TransitionKernel, cfg: PaoConfig, problem: 
     state = np.empty(swarm.positions.shape + (2,))
     np.subtract(swarm.positions, centroid, out=state[..., 0])
     state[..., 1] = swarm.velocities
-    state = sample_transition(kernel, state, cfg.hp.q0 * nu, rng)
+    state = sample_transition(cfg.kernel, state, cfg.hp.q0 * nu, rng)
     pos, vel = apply_bounds(
         state[..., 0] + centroid, state[..., 1], problem.lower, problem.upper, cfg.bounds_policy
     )
@@ -300,9 +303,8 @@ def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) ->
 
     Uses exactly n * (generations + 1) objective evaluations.
     """
-    kernel = build_kernel(cfg.hp)
     return drive(
         "pao", problem, n, generations, seed, cfg.params_dict(),
-        move=lambda swarm, rng: step_swarm(swarm, kernel, cfg, problem, rng),
+        move=lambda swarm, rng: step_swarm(swarm, cfg, problem, rng),
         start=lambda n, rng: initialize_swarm(problem, n, cfg, rng),
     )

@@ -13,10 +13,10 @@ the 4x4 Van Loan block ``[[F, L L^T], [0, -F^T]]`` (matrix fraction
 decomposition), taken in plain NumPy by scaling and squaring, so no
 time-stepping error is ever introduced, regardless of ``dt``.
 
-The kernel has unit diffusion by construction and is precomputed once per
-optimiser run; the actual per-generation noise variance is the one scalar
-multiplier of the Cholesky factor ``H`` of ``Sigma``, through which a draw
-maps standard normals and the density whitens a residual.
+The kernel is a value of the hyperparameters, ``TransitionKernel(hp)``, built
+once per config, with unit diffusion; the per-generation noise variance is
+the one scalar multiplier of the Cholesky factor ``H`` of ``Sigma``, through
+which a draw maps standard normals and the density whitens a residual.
 
 A and H are stored column-major, so their transposes are the C-contiguous
 right operands of the stacked product: a stack of states (the engine's
@@ -120,11 +120,11 @@ def setting(default, domain):
 
 
 def read_fields(obj, prefix=""):
-    """Read every field of the dataclass ``obj`` in place by its type: a number
-    by :func:`to_int`/:func:`to_float` in its :func:`setting` domain, a tuple
-    by :func:`to_items`, a name by :func:`to_choice` in its tuple domain; a
-    dataclass field must hold its type.  Errors name ``prefix`` + field name."""
-    for f in fields(obj):
+    """Read every init field of the dataclass ``obj`` in place by its type: a
+    number by :func:`to_int`/:func:`to_float` in its :func:`setting` domain, a
+    tuple by :func:`to_items`, a name by :func:`to_choice` in its tuple domain;
+    a dataclass field must hold its type.  Errors name ``prefix`` + field name."""
+    for f in (f for f in fields(obj) if f.init):
         label, value = prefix + f.name, getattr(obj, f.name)
         domain = f.metadata.get("domain")
         if f.type in (int, float):
@@ -162,10 +162,7 @@ class Hyperparams:
         object.__setattr__(self, "k", tuple(to_float("k", v, ">= 0", strings=True) for v in self.k))
         if not (self.k_total > 0):
             raise ValueError("at least one stiffness must be strictly positive")
-        # F's entries k'/m and 2 zeta sqrt(k'/m), in float arithmetic, which
-        # gives inf where they overflow and warns of nothing
-        wn2 = self.k_total / self.m
-        damping = 2.0 * math.sqrt(wn2) * self.zeta
+        wn2, damping = (-build_drift_matrix(self)[1]).tolist()
         if not (math.isfinite(wn2) and math.isfinite(damping)):
             raise ValueError(
                 f"k = {list(self.k)}, m = {self.m} and zeta = {self.zeta} give a drift matrix "
@@ -181,10 +178,11 @@ class Hyperparams:
 def build_drift_matrix(hp: Hyperparams) -> np.ndarray:
     """Drift matrix F of the state-space form, for state (position, velocity).
 
-    F = [[0, 1], [-k'/m, -2 sqrt(k'/m) zeta]]
+    F = [[0, 1], [-k'/m, -2 sqrt(k'/m) zeta]], its entries in float
+    arithmetic: one that overflows is inf, and nothing warns.
     """
     wn2 = hp.k_total / hp.m
-    return np.array([[0.0, 1.0], [-wn2, -2.0 * np.sqrt(wn2) * hp.zeta]])
+    return np.array([[0.0, 1.0], [-wn2, -2.0 * math.sqrt(wn2) * hp.zeta]])
 
 
 def _taylor_expm(x) -> np.ndarray:
@@ -235,9 +233,11 @@ def matrix_fraction_decomposition(f, dt: float):
     e = _taylor_expm(phi)
     a = e[:2, :2]
     sigma = e[:2, 2:] @ a.T
-    for _ in range(s):
-        sigma = a @ sigma @ a.T + sigma
-        a = a @ a
+    # an overflow here is reported by the finiteness check of the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            sigma = a @ sigma @ a.T + sigma
+            a = a @ a
     return a, 0.5 * (sigma + sigma.T)
 
 
@@ -261,14 +261,13 @@ def psd_cholesky(s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Precomputed one-step Gaussian transition map for a single element.
+    """One-step Gaussian transition map for a single element, built from
+    ``hp`` alone; two kernels are equal, and hash alike, when their ``hp``
+    are.  Derived from hp at construction (only m, zeta, k' and dt count):
 
     a           2x2 state transition matrix e^{F dt}, stored column-major
     sigma_unit  process-noise covariance for unit diffusion
     h           lower-triangular Cholesky factor of sigma_unit, column-major
-
-    Derived from these once, at construction:
-
     entries     (a00, a01, a10, a11), the entries of a as floats
     factor      (h00, h10, h11), the entries of h as floats
     degenerate  whether h has a zero pivot, h00 or h11; a variance v > 0
@@ -276,6 +275,7 @@ class TransitionKernel:
     log_norm    -log 2 pi - log h00 - log h11, the log-normaliser of the
                 unit-diffusion density (nan where degenerate)
 
+    Raises ``ValueError`` where A or Sigma overflows to a non-finite value.
     A single (2,) state is drawn and scored in float arithmetic from
     ``entries`` and ``factor``, a stack through ``a.T`` and ``h.T``, the
     C-contiguous right operands of :func:`_matvec`.  The two agree to a few
@@ -285,21 +285,27 @@ class TransitionKernel:
     Immutable after construction; safe to share across threads.
     """
 
-    a: np.ndarray
-    sigma_unit: np.ndarray
-    h: np.ndarray
+    hp: Hyperparams
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma_unit: np.ndarray = field(init=False, repr=False, compare=False)
+    h: np.ndarray = field(init=False, repr=False, compare=False)
     entries: tuple = field(init=False, repr=False, compare=False)
     factor: tuple = field(init=False, repr=False, compare=False)
     degenerate: bool = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (h00, _), (h10, h11) = self.h.tolist()
+        a, sigma = matrix_fraction_decomposition(build_drift_matrix(self.hp), self.hp.dt)
+        if not all(map(math.isfinite, a.ravel().tolist() + sigma.ravel().tolist())):
+            raise ValueError(f"A and Sigma of {self.hp} are not finite")
+        h = psd_cholesky(sigma)
+        (h00, _), (h10, h11) = h.tolist()
         degenerate = not (h00 > 0 and h11 > 0)
         derived = dict(
-            a=np.asfortranarray(self.a),
-            h=np.asfortranarray(self.h),
-            entries=tuple(self.a.ravel().tolist()),
+            a=np.asfortranarray(a),
+            sigma_unit=sigma,
+            h=np.asfortranarray(h),
+            entries=tuple(a.ravel().tolist()),
             factor=(h00, h10, h11),
             degenerate=degenerate,
             log_norm=math.nan if degenerate else -math.log(2.0 * math.pi) - math.log(h00) - math.log(h11),
@@ -309,16 +315,14 @@ class TransitionKernel:
         for arr in (self.a, self.sigma_unit, self.h):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        # a copy or an unpickled kernel is rebuilt from hp, its arrays read-only
+        return (TransitionKernel, (self.hp,))
+
 
 def build_kernel(hp: Hyperparams) -> TransitionKernel:
-    """Precompute A, unit-diffusion Sigma and its Cholesky factor for hp.
-    Raises ``ValueError`` where A or Sigma overflows to a non-finite value."""
-    f = build_drift_matrix(hp)
-    a, sigma = matrix_fraction_decomposition(f, hp.dt)
-    if not all(map(math.isfinite, a.ravel().tolist() + sigma.ravel().tolist())):
-        raise ValueError(f"A and Sigma of {hp} are not finite")
-    h = psd_cholesky(sigma)
-    return TransitionKernel(a=a, sigma_unit=sigma, h=h)
+    """The transition kernel of hp, as :class:`TransitionKernel` builds it."""
+    return TransitionKernel(hp)
 
 
 def _matvec(m_t, x):

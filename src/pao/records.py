@@ -68,12 +68,13 @@ class RunRecord:
     def check(self):
         """Raise ``ValueError`` naming the run if the record violates its
         contract: every serialised field of its declared type (a count is an
-        int, not a bool); a catalogue problem; dim and pop >= 1, gens and
-        seed >= 0, and the pop * (gens + 1) evaluations every run makes; a
-        history list of gens + 1 entries ``{g, best, mean, shifted_best}``,
-        g the entry's index, with finite bests and a numeric mean (the mean
-        of finite values may overflow); a best that never rises; a shifted
-        best never below zero."""
+        int, not a bool); an optimizer name with no comma, double quote or
+        line break, which would break the plot CSV; a catalogue problem; dim
+        and pop >= 1, gens and seed >= 0, and the pop * (gens + 1)
+        evaluations every run makes; a history list of gens + 1 entries
+        ``{g, best, mean, shifted_best}``, g the entry's index, with finite
+        bests and a numeric mean (the mean of finite values may overflow); a
+        best that never rises; a shifted best never below zero."""
         for f in _SERIALISED:
             value = getattr(self, f.name)
             types, noun = _READ_TYPES[f.type]
@@ -81,6 +82,10 @@ class RunRecord:
                 raise ValueError(f"{self.run_id}: {f.name} must be {noun}, got {value!r}")
             if "domain" in f.metadata:
                 to_int(f"{self.run_id}: {f.name}", value, f.metadata["domain"])
+        if any(c in self.optimizer for c in ',"\r\n'):
+            raise ValueError(
+                f"{self.run_id}: optimizer must hold no comma, quote or line break, got {self.optimizer!r}"
+            )
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"{self.run_id}: problem must be one of {PROBLEM_NAMES}, got {self.problem!r}")
         if self.evals != self.pop * (self.gens + 1):

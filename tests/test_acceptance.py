@@ -157,7 +157,6 @@ def test_criterion_4_deterministic_oscillator():
     t0 = time.perf_counter()
     hp = Hyperparams(m=1.0, zeta=0.2, k=(2.0,), q0=0.0, dt=0.05)
     cfg = PaoConfig(hp=hp, specs=(AttractorSpec("globalbest"),))
-    kern = build_kernel(hp)
     problem = make_problem("dejong", 2)
 
     # particle 0 sits exactly on the attractor; particle 1 is displaced
@@ -177,7 +176,7 @@ def test_criterion_4_deterministic_oscillator():
     trace = [1.0]
     fixed_point_exact = True
     for _ in range(400):
-        swarm = step_swarm(swarm, kern, cfg, problem, rng)
+        swarm = step_swarm(swarm, cfg, problem, rng)
         fixed_point_exact &= bool(np.all(swarm.positions[0] == 0.0) and np.all(swarm.velocities[0] == 0.0))
         trace.append(float(swarm.positions[1, 0]))
 
@@ -205,7 +204,6 @@ def test_criterion_5_naive_equals_tensorised():
     t0 = time.perf_counter()
     problem = make_problem("rastrigin", 4)
     cfg = PaoConfig()
-    kern = build_kernel(cfg.hp)
     n, gens = 10, 10
 
     swarm0 = initialize_swarm(problem, n, cfg, np.random.default_rng(derive_seed(5, 0)))
@@ -213,7 +211,7 @@ def test_criterion_5_naive_equals_tensorised():
     swarm = swarm0
     step_rng = np.random.default_rng(derive_seed(5, 1))
     for g in range(gens):
-        swarm = step_swarm(swarm, kern, cfg, problem, step_rng)
+        swarm = step_swarm(swarm, cfg, problem, step_rng)
 
     # naive route: per-element loop, fresh matrix fraction decomposition at
     # the generation's actual noise variance instead of the unit-q kernel

@@ -2,9 +2,11 @@
 precedence, driven through main() with a miniature workload."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -247,6 +249,23 @@ class TestBenchAndPlotData:
             main(["bench", "--suite", "2d", "--optimizers", "pso,pao", "--out", str(out), "--config", str(cfg)])
         assert runs == [] and not out.exists()
 
+    @pytest.mark.parametrize("optimizers", ["sade,de,pao", "pso"])
+    def test_bench_rejects_a_kernel_that_cannot_be_built_before_any_run(self, tmp_path, monkeypatch, optimizers):
+        # the suite ran every SADE and DE cell, then warned four times of an
+        # overflow and failed in its PAO runs; the PAO config is now refused
+        # as it is read, also where --optimizers leaves PAO out
+        runs = []
+        monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zeta": 0.0, "dt": 1e20}))
+        out = tmp_path / "suite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^A and Sigma of .* are not finite$"):
+                main(["bench", "--suite", "2d", "--optimizers", optimizers, "--out", str(out),
+                      "--config", str(cfg)])
+        assert runs == [] and not out.exists()
+
     def test_bench_rejects_a_repeated_optimizer_before_any_run(self, tmp_path, monkeypatch):
         runs = []
         monkeypatch.setattr(harness, "run_one", lambda *args: runs.append(args))
@@ -377,3 +396,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "bench" in proc.stdout and "kernel-info" in proc.stdout
+
+    def test_run_of_a_kernel_that_cannot_be_built_fails_with_one_error(self, tmp_path):
+        # the run printed four overflow RuntimeWarnings before its error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zeta": 0.0, "dt": 1e20}))
+        out = tmp_path / "runs.jsonl"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "pao.cli", "run", "--pop", "8", "--gens", "2",
+             "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode != 0 and not out.exists()
+        assert "are not finite" in proc.stderr and "Warning" not in proc.stderr

@@ -2,7 +2,9 @@
 generation step contract and end-to-end run reproducibility."""
 
 import json
+import pickle
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -66,6 +68,31 @@ class TestConfig:
     def test_rejects_parts_of_another_type(self, kwargs, error):
         with pytest.raises(ValueError, match=re.escape(error)):
             PaoConfig(**kwargs)
+
+    def test_kernel_is_the_kernel_of_hp(self):
+        cfg = PaoConfig()
+        assert cfg.kernel == build_kernel(Hyperparams())
+        assert "kernel" not in repr(cfg)
+        hp = Hyperparams(m=0.7, zeta=0.4, dt=0.8)
+        replaced = replace(cfg, hp=hp)
+        assert replaced.kernel == build_kernel(hp) != cfg.kernel
+        assert replaced.kernel.sigma_unit.tobytes() == build_kernel(hp).sigma_unit.tobytes()
+
+    def test_a_pickled_config_rebuilds_its_kernel(self):
+        # a suite sends its configs to worker processes
+        cfg = PaoConfig(hp=Hyperparams(m=0.7, zeta=0.4, dt=0.8))
+        got = pickle.loads(pickle.dumps(cfg))
+        assert got == cfg and got.kernel == cfg.kernel
+        assert got.kernel.a.tobytes() == cfg.kernel.a.tobytes() and not got.kernel.a.flags.writeable
+
+    def test_rejects_a_kernel_that_cannot_be_built(self):
+        # undamped over a long interval: such a config used to be made, and
+        # its run printed four overflow warnings before it failed
+        hp = Hyperparams(zeta=0.0, dt=1e20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"A and Sigma of {hp} are not finite")):
+                PaoConfig(hp=hp)
 
     def test_params_dict_round_trips_labels(self):
         cfg = PaoConfig(
@@ -377,36 +404,36 @@ class TestStep:
         cfg = cfg or PaoConfig()
         rng = np.random.default_rng(seed)
         swarm = initialize_swarm(problem, n, cfg, rng)
-        return problem, cfg, build_kernel(cfg.hp), swarm, rng
+        return problem, cfg, swarm, rng
 
     def test_generation_and_archive_monotonicity(self):
-        problem, cfg, kernel, swarm, rng = self.make()
+        problem, cfg, swarm, rng = self.make()
         for g in range(1, 6):
             prev_local = swarm.local_best_fit.copy()
             prev_global = swarm.global_best_fit
-            swarm = step_swarm(swarm, kernel, cfg, problem, rng)
+            swarm = step_swarm(swarm, cfg, problem, rng)
             assert swarm.generation == g
             assert np.all(swarm.local_best_fit <= prev_local)
             assert swarm.global_best_fit <= prev_global
             assert swarm.global_best_fit == swarm.local_best_fit.min()
 
     def test_positions_respect_clip(self):
-        problem, cfg, kernel, swarm, rng = self.make()
+        problem, cfg, swarm, rng = self.make()
         for _ in range(5):
-            swarm = step_swarm(swarm, kernel, cfg, problem, rng)
+            swarm = step_swarm(swarm, cfg, problem, rng)
             assert np.all(swarm.positions >= problem.lower)
             assert np.all(swarm.positions <= problem.upper)
 
     def test_fitness_matches_positions(self):
-        problem, cfg, kernel, swarm, rng = self.make()
-        swarm = step_swarm(swarm, kernel, cfg, problem, rng)
+        problem, cfg, swarm, rng = self.make()
+        swarm = step_swarm(swarm, cfg, problem, rng)
         np.testing.assert_array_equal(swarm.fitness, problem.evaluate(swarm.positions))
 
     def test_zero_noise_step_ignores_rng(self):
         cfg = PaoConfig(hp=Hyperparams(q0=0.0))
-        problem, cfg, kernel, swarm, _ = self.make(cfg=cfg)
-        s1 = step_swarm(swarm, kernel, cfg, problem, np.random.default_rng(111))
-        s2 = step_swarm(swarm, kernel, cfg, problem, np.random.default_rng(999))
+        problem, cfg, swarm, _ = self.make(cfg=cfg)
+        s1 = step_swarm(swarm, cfg, problem, np.random.default_rng(111))
+        s2 = step_swarm(swarm, cfg, problem, np.random.default_rng(999))
         np.testing.assert_array_equal(stacked(s1), stacked(s2))
 
     def _collapse_onto_global_best(self, swarm, problem):
@@ -424,18 +451,18 @@ class TestStep:
         # a single particle on the global best with zero velocity: nu is
         # exactly zero and the centred state is exactly zero, so the step
         # is the identity bit for bit
-        problem, cfg, kernel, swarm, rng = self.make(n=1)
+        problem, cfg, swarm, rng = self.make(n=1)
         swarm = self._collapse_onto_global_best(swarm, problem)
-        stepped = step_swarm(swarm, kernel, cfg, problem, rng)
+        stepped = step_swarm(swarm, cfg, problem, rng)
         np.testing.assert_array_equal(stacked(stepped), stacked(swarm))
 
     def test_collapsed_swarm_is_near_fixed_point(self):
         # many collapsed particles: averaging their (identical) positions
         # is not bitwise exact, so nu is O(eps^2) and the state may drift
         # by O(eps) but no more
-        problem, cfg, kernel, swarm, rng = self.make(n=12)
+        problem, cfg, swarm, rng = self.make(n=12)
         swarm = self._collapse_onto_global_best(swarm, problem)
-        stepped = step_swarm(swarm, kernel, cfg, problem, rng)
+        stepped = step_swarm(swarm, cfg, problem, rng)
         np.testing.assert_allclose(stacked(stepped), stacked(swarm), atol=1e-12)
 
     def test_moves_have_the_kernel_density(self):
@@ -448,13 +475,13 @@ class TestStep:
         problem = make_problem("rastrigin", 8)
         rng = np.random.default_rng(20261018)
         swarm = initialize_swarm(problem, 100, cfg, rng)
-        kernel = build_kernel(cfg.hp)
+        kernel = cfg.kernel
         maha = []
         for _ in range(3):
             centroid = weighted_centroid(compute_attractors(swarm, cfg.specs, None), cfg.hp.k)
             var = cfg.hp.q0 * noise_scale(swarm)
             log_norm = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(var * kernel.sigma_unit))
-            stepped = step_swarm(swarm, kernel, cfg, problem, rng)
+            stepped = step_swarm(swarm, cfg, problem, rng)
             x_from, x_to = stacked(swarm), stacked(stepped)
             x_from[:, :, 0] -= centroid
             x_to[:, :, 0] -= centroid
@@ -464,11 +491,20 @@ class TestStep:
         assert len(maha) == 3 * 100 * 8
         assert abs(np.mean(maha) - 2.0) < 0.15
 
+    def test_runs_on_the_kernel_of_its_config(self, monkeypatch):
+        # the kernel is built once, with the config, not for each run
+        cfg = PaoConfig()
+        kernels = []
+        monkeypatch.setattr(engine, "build_kernel", lambda hp: pytest.fail("a run built a kernel"))
+        monkeypatch.setattr(engine, "sample_transition", lambda k, *args: kernels.append(k) or args[0])
+        run_pao(make_problem("rastrigin", 2), 6, 3, cfg, seed=1)
+        assert len(kernels) == 3 and all(k is cfg.kernel for k in kernels)
+
     def test_input_swarm_not_mutated(self):
-        problem, cfg, kernel, swarm, rng = self.make()
+        problem, cfg, swarm, rng = self.make()
         x_before = stacked(swarm)
         lb_before = swarm.local_best_fit.copy()
-        step_swarm(swarm, kernel, cfg, problem, rng)
+        step_swarm(swarm, cfg, problem, rng)
         np.testing.assert_array_equal(stacked(swarm), x_before)
         np.testing.assert_array_equal(swarm.local_best_fit, lb_before)
 

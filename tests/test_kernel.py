@@ -1,10 +1,12 @@
 """Transition-kernel tests: frozen oracle values, algebraic invariants and
 the Gaussian sampling/density contract."""
 
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import pao
 from pao.kernel import (
     DegenerateCovariance,
     Hyperparams,
+    TransitionKernel,
     _matvec,
     _taylor_expm,
     build_drift_matrix,
@@ -122,6 +125,8 @@ class TestHyperparams:
             (dict(k=(1e308, 1e308)), "k'/m = inf, 2 zeta sqrt(k'/m) = inf"),
             (dict(m=5e-324, k=(1.0,)), "k'/m = inf, 2 zeta sqrt(k'/m) = inf"),
             (dict(zeta=1e300, k=(1e20,)), "k'/m = 1e+20, 2 zeta sqrt(k'/m) = inf"),
+            # undamped: inf * 0 is nan, in float arithmetic with no warning
+            (dict(zeta=0.0, k=(1e308, 1e308)), "k'/m = inf, 2 zeta sqrt(k'/m) = nan"),
         ],
     )
     def test_rejects_a_drift_matrix_that_overflows(self, kwargs, entries):
@@ -387,11 +392,13 @@ class TestKernelAndSampling:
         "kwargs",
         # undamped and stiff enough that A or Sigma overflows; a run on such a
         # kernel would blame the objective for its first non-finite value
-        [dict(zeta=0.0, k=(1e16,), dt=1000.0), dict(zeta=0.0, k=(1e24,), dt=1.0)],
+        [dict(zeta=0.0, k=(1e16,), dt=1000.0), dict(zeta=0.0, k=(1e24,), dt=1.0), dict(zeta=0.0, dt=1e20)],
     )
     def test_kernel_that_overflows_names_the_hyperparameters(self, kwargs):
+        # and warns of nothing: the doublings printed RuntimeWarnings first
         hp = Hyperparams(**kwargs)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"A and Sigma of {hp} are not finite")):
                 build_kernel(hp)
 
@@ -512,14 +519,7 @@ class TestKernelAndSampling:
             assert _matvec(m.T, x).tobytes() == (x @ np.ascontiguousarray(m).T).tobytes()
 
     def test_a_and_h_are_read_only_and_column_major(self):
-        # also where a field is replaced by a row-major, writable copy
-        kernel = build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8))
-        replaced = dataclasses.replace(kernel, a=kernel.a.copy(), h=kernel.h.copy())
-        for k in (kernel, replaced):
-            for m in (k.a, k.h):
-                assert m.flags.f_contiguous and not m.flags.c_contiguous and not m.flags.writeable
-        np.testing.assert_array_equal(replaced.a, kernel.a)
-        np.testing.assert_array_equal(replaced.h, kernel.h)
+        assert_read_only_and_column_major(build_kernel(Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8)))
 
     def test_sample_moments(self):
         kernel = build_kernel(Hyperparams())
@@ -554,6 +554,76 @@ class TestKernelAndSampling:
         kernel = build_kernel(Hyperparams())
         with pytest.raises(DegenerateCovariance):
             transition_logpdf(kernel, np.zeros(2), np.zeros(2), 0.0)
+
+
+def assert_read_only_and_column_major(kernel):
+    for m in (kernel.a, kernel.h):
+        assert m.flags.f_contiguous and not m.flags.c_contiguous
+    for m in (kernel.a, kernel.sigma_unit, kernel.h):
+        assert not m.flags.writeable
+
+
+def assert_same_bytes(k1, k2):
+    """Every derived field of k1 equals k2's, arrays byte for byte."""
+    for name in ("a", "sigma_unit", "h"):
+        assert getattr(k1, name).tobytes(order="A") == getattr(k2, name).tobytes(order="A")
+    for name in ("entries", "factor", "degenerate", "log_norm"):
+        assert getattr(k1, name) == getattr(k2, name)
+
+
+class TestKernelIsAValueOfHp:
+    HP = Hyperparams(m=0.7, zeta=0.4, k=(1.0, 2.5), dt=0.8)
+
+    def test_equal_hp_give_equal_kernels(self):
+        # kernels used to compare their arrays: == raised on their truth
+        # value, and hash raised TypeError
+        k1, k2 = TransitionKernel(self.HP), build_kernel(dataclasses.replace(self.HP))
+        assert k1 == k2 and hash(k1) == hash(k2) and len({k1, k2}) == 1
+        assert_same_bytes(k1, k2)
+        assert repr(k1) == f"TransitionKernel(hp={self.HP!r})"
+
+    def test_kernels_compare_by_hp_not_arrays(self):
+        # q0, or how k' splits into k, gives the same arrays but another hp
+        k1 = build_kernel(self.HP)
+        for hp in (dataclasses.replace(self.HP, q0=2.0), dataclasses.replace(self.HP, k=(2.5, 1.0))):
+            k2 = build_kernel(hp)
+            assert k2 != k1
+            assert k2.a.tobytes() == k1.a.tobytes() and k2.sigma_unit.tobytes() == k1.sigma_unit.tobytes()
+
+    def test_replacing_hp_rederives_every_field(self):
+        # replace(kernel, sigma_unit=4 * kernel.sigma_unit) used to keep the
+        # old H and log-normaliser
+        kernel = build_kernel(Hyperparams())
+        replaced = dataclasses.replace(kernel, hp=self.HP)
+        assert replaced == build_kernel(self.HP) != kernel
+        assert_same_bytes(replaced, build_kernel(self.HP))
+        assert_read_only_and_column_major(replaced)
+
+    @pytest.mark.parametrize("name", ["a", "sigma_unit", "h", "log_norm"])
+    def test_derived_fields_are_not_inputs(self, name):
+        kernel = build_kernel(Hyperparams())
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(kernel, **{name: getattr(kernel, name)})
+
+    def test_takes_no_arrays(self):
+        # a kernel used to take h=np.eye(2) beside any A, an all-nan one included
+        with pytest.raises(TypeError):
+            TransitionKernel(a=np.full((2, 2), np.nan), sigma_unit=np.eye(2), h=np.eye(2))
+        with pytest.raises(TypeError):
+            TransitionKernel(Hyperparams(), h=np.eye(2))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda k: pickle.loads(pickle.dumps(k)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_a_copy_is_rebuilt_read_only(self, clone):
+        # an unpickled kernel used to have writable arrays
+        kernel = build_kernel(self.HP)
+        got = clone(kernel)
+        assert got == kernel
+        assert_same_bytes(got, kernel)
+        assert_read_only_and_column_major(got)
 
 
 def reference_logpdf(kernel, x_from, x_to, var):

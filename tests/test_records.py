@@ -183,6 +183,18 @@ class TestJsonl:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 1: {error}')}"):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    def test_read_rejects_an_optimizer_name_that_breaks_the_plot_csv(self, tmp_path, char):
+        # "my,opt" gave plot-data the header generation,pso,my,opt above
+        # rows of three values
+        path = tmp_path / "records.jsonl"
+        obj = make_record(run_id="y").to_json_dict()
+        obj["optimizer"] = f"my{char}opt"
+        path.write_text(json.dumps(obj) + "\n")
+        error = f"{path}, line 1: y: optimizer must hold no comma, quote or line break, got {obj['optimizer']!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            read_jsonl(path)
+
     def test_read_takes_a_mean_that_overflowed(self, tmp_path):
         # the mean of finite fitness values can overflow to inf
         path = tmp_path / "records.jsonl"
