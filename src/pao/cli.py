@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
-from .engine import PaoConfig
+from .engine import DEFAULT_PAO, PaoConfig
 from .harness import (
     aggregate_convergence,
     BenchmarkSuite,
@@ -42,7 +42,7 @@ from .harness import (
 from .kernel import Hyperparams, build_kernel, to_choice, to_int, to_items
 from .records import read_jsonl, write_jsonl
 
-PAO_KEYS = tuple(PaoConfig().params_dict())
+PAO_KEYS = tuple(DEFAULT_PAO.params_dict())
 RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")
 BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed", "griewangk_denominator") + PAO_KEYS
 INT_KEYS = ("dim", "pop", "gens", "reps", "seed")

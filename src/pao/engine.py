@@ -94,7 +94,7 @@ class PaoConfig:
     def from_params(cls, params: dict) -> "PaoConfig":
         """The inverse of :meth:`params_dict`: missing keys take
         ``PaoConfig()``'s values, and ``k`` defaults to one 1.0 per attractor."""
-        base = cls()
+        base = DEFAULT_PAO
         unknown = sorted(set(params) - set(base.params_dict()))
         if unknown:
             raise ValueError(f"unknown PAO keys {unknown}")
@@ -103,12 +103,12 @@ class PaoConfig:
             specs = tuple(map(AttractorSpec.parse, to_items("attractors", params["attractors"])))
         hp = {f.name: params[f.name] for f in fields(Hyperparams) if f.name in params}
         hp.setdefault("k", (1.0,) * len(specs))
-        return cls(
-            hp=replace(base.hp, **hp),
-            specs=specs,
-            bounds_policy=params.get("bounds_policy", base.bounds_policy),
-            velocity_init=params.get("velocity_init", base.velocity_init),
-        )
+        policies = {key: params[key] for key in ("bounds_policy", "velocity_init") if key in params}
+        return replace(base, hp=replace(base.hp, **hp), specs=specs, **policies)
+
+
+# built once: from_params reads its defaults, so it builds no default kernel
+DEFAULT_PAO = PaoConfig()
 
 
 def evaluate_population(problem: Problem, positions) -> np.ndarray:

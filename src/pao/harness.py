@@ -16,7 +16,7 @@ from . import baselines, engine
 from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
-from .engine import PaoConfig
+from .engine import DEFAULT_PAO, PaoConfig
 from .kernel import read_fields, setting, to_choice, to_int
 from .records import write_jsonl
 
@@ -63,7 +63,7 @@ class BenchmarkSuite:
     optimizers: tuple = OPTIMIZER_IDS
     base_seed: int = setting(0, ">= 0")
     griewangk_denominator: float = setting(GRIEWANGK_DENOMINATOR, "> 0")
-    pao: PaoConfig = PaoConfig()
+    pao: PaoConfig = DEFAULT_PAO
     pso: PsoConfig = PsoConfig()
     qpso: QpsoConfig = QpsoConfig()
     de: DeConfig = DeConfig()
