@@ -4,7 +4,9 @@
 0 .. N-1, with numeric libraries held to one thread.  A second table gives
 the kernel layer in us/call: ``build_kernel`` of the default
 hyperparameters, and ``sample_transition`` and ``transition_logpdf`` of one
-(2,) state, each the median over batches of repeated calls.
+(2,) state.  A third gives the donor draw in us/call: ``draw_donors`` at
+pop 100 with the three donors of DE and ``derand1bin`` and the four of
+SADE.  Each us/call figure is the median over batches of repeated calls.
 
     PYTHONPATH=src python3 scripts/time_runs.py              # 100 generations, 7 seeds
     PYTHONPATH=src python3 scripts/time_runs.py --gens 2 --seeds 1
@@ -23,8 +25,9 @@ import time
 POP = 100
 DIMS = (2, 8)
 PROBLEM = "rastrigin"
-KERNEL_BATCHES = 25
-KERNEL_CALLS = 200  # per batch
+BATCHES = 25
+CALLS = 200  # per batch
+DONOR_SIZES = (3, 4)  # DE and derand1bin; SADE
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
 
@@ -48,9 +51,23 @@ def time_runs(gens: int, seeds: int) -> dict:
     return table
 
 
+def median_us(calls: dict) -> dict:
+    """Name -> median us of one call of ``calls[name]`` over BATCHES batches
+    of CALLS calls."""
+    us = {}
+    for name, call in calls.items():
+        batches = []
+        for _ in range(BATCHES):
+            t0 = time.perf_counter()
+            for _ in range(CALLS):
+                call()
+            batches.append((time.perf_counter() - t0) * 1e6 / CALLS)
+        us[name] = statistics.median(batches)
+    return us
+
+
 def time_kernel() -> dict:
-    """Kernel-layer call -> median us of one call over KERNEL_BATCHES
-    batches of KERNEL_CALLS calls."""
+    """Kernel-layer call -> median us of one call."""
     import numpy as np
 
     from pao.kernel import Hyperparams, build_kernel, sample_transition, transition_logpdf
@@ -60,24 +77,26 @@ def time_kernel() -> dict:
     rng = np.random.default_rng(0)
     x, var = rng.standard_normal(2), 0.5
     y = sample_transition(kernel, x, var, rng)
-    calls = {
+    return median_us({
         "build_kernel": lambda: build_kernel(hp),
         "sample_transition": lambda: sample_transition(kernel, x, var, rng),
         "transition_logpdf": lambda: transition_logpdf(kernel, x, y, var),
-    }
-    us = {}
-    for name, call in calls.items():
-        batches = []
-        for _ in range(KERNEL_BATCHES):
-            t0 = time.perf_counter()
-            for _ in range(KERNEL_CALLS):
-                call()
-            batches.append((time.perf_counter() - t0) * 1e6 / KERNEL_CALLS)
-        us[name] = statistics.median(batches)
-    return us
+    })
 
 
-def format_kernel(us: dict) -> str:
+def time_donors() -> dict:
+    """``draw_donors(POP, size)`` per DONOR_SIZES -> median us of one call."""
+    import numpy as np
+
+    from pao.attractors import draw_donors
+
+    rng = np.random.default_rng(0)
+    return median_us({
+        f"draw_donors({POP}, {size})": lambda size=size: draw_donors(POP, size, rng) for size in DONOR_SIZES
+    })
+
+
+def format_us(us: dict) -> str:
     return "\n".join([
         "| " + " | ".join(us) + " |",
         "|" + "----:|" * len(us),
@@ -105,8 +124,10 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     print(f"ms/run on {PROBLEM}, pop {POP}, gens {args.gens}, median of {args.seeds} seeds")
     print(format_table(time_runs(args.gens, args.seeds)))
-    print(f"us/call of the kernel layer, one (2,) state, median of {KERNEL_BATCHES} batches of {KERNEL_CALLS} calls")
-    print(format_kernel(time_kernel()))
+    print(f"us/call of the kernel layer, one (2,) state, median of {BATCHES} batches of {CALLS} calls")
+    print(format_us(time_kernel()))
+    print(f"us/call of the donor draw, pop {POP}, median of {BATCHES} batches of {CALLS} calls")
+    print(format_us(time_donors()))
     return 0
 
 

@@ -123,8 +123,8 @@ def _de_donors(positions, rng):
     a, b, c distinct and not the particle itself; no crossover is applied."""
     n = positions.shape[0]
     check_pop("derand1bin", n)
-    a, b, c = draw_donors(n, 3, rng).T
-    return positions[a] + DE_WEIGHT * (positions[b] - positions[c])
+    p = positions[draw_donors(n, 3, rng)]
+    return p[:, 0] + DE_WEIGHT * (p[:, 1] - p[:, 2])
 
 
 def draw_donors(n, size, rng):
@@ -134,18 +134,15 @@ def draw_donors(n, size, rng):
     # pick t is one of the n - 1 - t free slots; one call fills the (size, n)
     # block row by row, the draws of one rng.integers(n - 1 - t, size=n) per t
     picks = rng.integers(np.arange(n - 1, n - 1 - size, -1)[:, None], size=(size, n))
-    # each row's taken indices in ascending order, kept so by inserting every
-    # pick with compare-exchanges; a pick steps past them in that order
-    taken = [np.arange(n)]
-    for t, pick in enumerate(picks):
-        for column in taken:
-            pick += pick >= column
-        if t == size - 1:
-            break
-        carry = pick
-        for j, column in enumerate(taken):
-            taken[j], carry = np.minimum(column, carry), np.maximum(column, carry)
-        taken.append(carry)
+    # pick t indexes range(n) less the row's own index and picks 0 .. t - 1.
+    # Decoding right to left as a Lehmer code puts each removal back, last
+    # first: every later pick at or above pick t steps up by one, then every
+    # pick at or above the own index does.  That is the index that stepping
+    # the pick past the taken indices in ascending order reaches.
+    for t in range(size - 2, -1, -1):
+        later = picks[t + 1:]
+        later += later >= picks[t]
+    picks += picks >= np.arange(n)
     return picks.T
 
 

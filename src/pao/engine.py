@@ -36,7 +36,9 @@ VELOCITY_INITS = ("zero", "uniform-scaled")
 
 
 class ObjectiveEvaluationError(RuntimeError):
-    """The objective returned a non-finite value."""
+    """A population evaluation gave a non-finite fitness: either the objective
+    returned one at a finite position, or the move left a trial position that
+    is itself not finite."""
 
 
 @dataclass
@@ -118,9 +120,12 @@ def evaluate_population(problem: Problem, positions) -> np.ndarray:
     # save another microsecond but warns of overflow on large finite values
     finite = np.isfinite(fit)
     if not finite.all():
-        raise ObjectiveEvaluationError(
-            f"objective {problem.name!r} returned a non-finite value at {positions[~finite][0]}"
-        )
+        at = positions[~finite][0]
+        if not np.isfinite(at).all():
+            raise ObjectiveEvaluationError(
+                f"trial position {at} is not finite, so objective {problem.name!r} was not at fault"
+            )
+        raise ObjectiveEvaluationError(f"objective {problem.name!r} returned a non-finite value at {at}")
     return fit
 
 

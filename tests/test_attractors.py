@@ -276,8 +276,8 @@ class TestDonorDraw:
             for i, row in enumerate(draw_donors(n, size, rng)):
                 assert sorted(row) == [j for j in range(n) if j != i]
 
-    @pytest.mark.parametrize("n", [4, 5, 20, 100])
-    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("n", [4, 5, 20, 100, 1000])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_matches_reference_draw(self, n, size):
         for seed in range(6):
             if n <= size:  # no size distinct others exist: both reject it

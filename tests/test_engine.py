@@ -334,6 +334,21 @@ class TestEvaluatePopulation:
         with pytest.raises(ObjectiveEvaluationError, match=re.escape(str(positions[row]))):
             evaluate_population(bad, positions)
 
+    def test_a_non_finite_position_is_not_blamed_on_the_objective(self):
+        positions = np.array([[0.0, 1.0], [np.nan, 5.12], [np.inf, 0.0]])
+        want = f"^trial position {re.escape(str(positions[1]))} is not finite, so objective 'dejong' was not at fault$"
+        with pytest.raises(ObjectiveEvaluationError, match=want):
+            evaluate_population(make_problem("dejong", 2), positions)
+
+    def test_a_move_that_overflows_is_not_blamed_on_the_objective(self):
+        # the attractor overflows to +-inf, and the kernel's product turns
+        # inf * 0 into NaN
+        cfg = PaoConfig(specs=(AttractorSpec("stochasticgaussian", stddev=1e308), AttractorSpec("globalbest")))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ObjectiveEvaluationError, match="^trial position .* is not finite, so objective 'dejong' was not at fault$"
+        ):
+            run_pao(make_problem("dejong", 2), 10, 3, cfg, 0)
+
     def test_finite_values_whose_sum_overflows_pass(self):
         big = CountingProblem(make_problem("dejong", 2))
         big.evaluate = lambda xs: np.array([1e308, 1e308])

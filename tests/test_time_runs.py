@@ -29,12 +29,23 @@ def test_prints_one_row_per_dimension_and_a_column_per_optimizer():
 def test_prints_the_kernel_layer_in_us_per_call():
     proc = run("--gens", "0", "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
-    title, header, rule, row = proc.stdout.splitlines()[5:]
+    title, header, rule, row = proc.stdout.splitlines()[5:9]
     assert title == "us/call of the kernel layer, one (2,) state, median of 25 batches of 200 calls"
     assert header == "| build_kernel | sample_transition | transition_logpdf |"
     assert rule == "|----:|----:|----:|"
     cells = row.strip("| ").split(" | ")
     assert len(cells) == 3 and all(float(c) > 0 for c in cells)
+
+
+def test_prints_the_donor_draw_in_us_per_call():
+    proc = run("--gens", "0", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    title, header, rule, row = proc.stdout.splitlines()[9:]
+    assert title == "us/call of the donor draw, pop 100, median of 25 batches of 200 calls"
+    assert header == "| draw_donors(100, 3) | draw_donors(100, 4) |"
+    assert rule == "|----:|----:|"
+    cells = row.strip("| ").split(" | ")
+    assert len(cells) == 2 and all(float(c) > 0 for c in cells)
 
 
 def test_rejects_zero_seeds():
