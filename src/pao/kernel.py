@@ -37,6 +37,7 @@ import numpy as np
 # polynomial: sum_j (X^4)^j (sum_i c_ji X^i), i, j = 0..3
 _TAYLOR_COEF = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
 _EYE4 = np.eye(4)
+_EPS = np.finfo(float).eps
 
 
 class DegenerateCovariance(ValueError):
@@ -193,7 +194,8 @@ def _taylor_expm(x) -> np.ndarray:
     """
     x2 = x @ x
     x4 = x2 @ x2
-    powers = np.stack((_EYE4, x, x2, x2 @ x)).reshape(4, 16)
+    powers = np.empty((4, 16))
+    powers[0], powers[1], powers[2], powers[3] = _EYE4.ravel(), x.ravel(), x2.ravel(), (x2 @ x).ravel()
     blocks = (_TAYLOR_COEF @ powers).reshape(4, 4, 4)
     e = blocks[3]
     for j in (2, 1, 0):
@@ -219,7 +221,9 @@ def matrix_fraction_decomposition(f, dt: float):
     floating-point asymmetry; :class:`TransitionKernel` stores A column-major.
     """
     f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
+    if f.shape != (2, 2):
+        raise ValueError(f"drift matrix must be 2x2, got shape {f.shape}")
+    if not np.isfinite(f).all():
         raise ValueError(f"drift matrix must be finite, got {f.tolist()}")
     dt = to_float("dt", dt, "> 0")
     norm2 = 2.0 * float(np.abs(f).sum(axis=0).max())
@@ -248,13 +252,19 @@ def psd_cholesky(s) -> np.ndarray:
     gets its full factor, however small its entries.  Otherwise a first
     pivot at or below eps * max(diag) is rounding, whose row and column of
     H stay zero, and a pivot that is not positive is zero, so a singular
-    matrix still gets a factor, with a zero pivot.
+    matrix still gets a factor, with a zero pivot.  A matrix that is not
+    2x2, or not finite, raises ``ValueError``.
     """
-    (s00, _), (s10, s11) = np.asarray(s, dtype=float).tolist()
+    s = np.asarray(s, dtype=float)
+    if s.shape != (2, 2):
+        raise ValueError(f"covariance must be 2x2, got shape {s.shape}")
+    (s00, s01), (s10, s11) = s.tolist()
+    if not all(map(math.isfinite, (s00, s01, s10, s11))):
+        raise ValueError(f"covariance must be finite, got {[[s00, s01], [s10, s11]]}")
     l00 = math.sqrt(s00) if s00 > 0 else 0.0
     l10 = s10 / l00 if l00 else 0.0
     d = s11 - l10 * l10
-    if d <= 0 and s00 <= np.finfo(float).eps * max(abs(s00), abs(s11)):
+    if d <= 0 and s00 <= _EPS * max(abs(s00), abs(s11)):
         l00, l10, d = 0.0, 0.0, s11
     return np.array([[l00, 0.0], [l10, math.sqrt(d) if d > 0 else 0.0]])
 
@@ -347,14 +357,15 @@ def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -
     draw is skipped entirely and the deterministic map is applied.  The
     variance must be finite and >= 0, and x an array whose last axis has
     length 2; a single (2,) state must be finite and is mapped in float
-    arithmetic (see :class:`TransitionKernel`).
+    arithmetic (see :class:`TransitionKernel`), its result written into the
+    (2,) array the generator returns for its normals.
     """
     if not (0 <= noise_variance < math.inf):
         raise ValueError(f"noise variance must be finite and >= 0, got {noise_variance}")
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (2,):
-        raise ValueError(f"states must have a last axis of length 2, got shape {x.shape}")
-    if x.ndim > 1:
+    if x.shape != (2,):
+        if x.shape[-1:] != (2,):
+            raise ValueError(f"states must have a last axis of length 2, got shape {x.shape}")
         mean = _matvec(kernel.a.T, x)
         if noise_variance == 0.0:
             return mean
@@ -368,10 +379,12 @@ def sample_transition(kernel: TransitionKernel, x, noise_variance: float, rng) -
     m0, m1 = _mean(kernel, x0, x1)
     if noise_variance == 0.0:
         return np.array([m0, m1])
-    z0, z1 = rng.standard_normal(2).tolist()
+    z = rng.standard_normal(2)
+    z0, z1 = z.tolist()
     h00, h10, h11 = kernel.factor
     s = math.sqrt(noise_variance)
-    return np.array([m0 + s * (h00 * z0), m1 + s * (h10 * z0 + h11 * z1)])
+    z[0], z[1] = m0 + s * (h00 * z0), m1 + s * (h10 * z0 + h11 * z1)
+    return z
 
 
 def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: float) -> float:
@@ -400,7 +413,8 @@ def transition_logpdf(kernel: TransitionKernel, x_from, x_to, noise_variance: fl
         raise ValueError(
             f"the density takes single (2,) states, got {x_from.shape} and {x_to.shape}"
         )
-    (x0, x1), (y0, y1) = x_from.tolist(), x_to.tolist()
+    x0, x1 = x_from.tolist()
+    y0, y1 = x_to.tolist()
     m0, m1 = _mean(kernel, x0, x1)
     r0, r1 = y0 - m0, y1 - m1
     if not (math.isfinite(r0) and math.isfinite(r1)):

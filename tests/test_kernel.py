@@ -22,6 +22,8 @@ from pao.kernel import (
     DegenerateCovariance,
     Hyperparams,
     TransitionKernel,
+    _EYE4,
+    _TAYLOR_COEF,
     _matvec,
     _taylor_expm,
     build_drift_matrix,
@@ -62,6 +64,7 @@ SIGMA_OVERDAMPED = np.array(
     ]
 )
 
+F_DEFAULT = build_drift_matrix(Hyperparams())
 EPS = np.finfo(float).eps
 # the float and the BLAS form of a 2x2 map plus noise each round to within
 # 2 eps of the terms' magnitude |A||x| + sqrt(v)|H||z|, with or without FMA,
@@ -214,6 +217,26 @@ class TestTaylorExponential:
             x *= 0.49 / np.abs(x).sum(axis=0).max()
             np.testing.assert_allclose(_taylor_expm(x), taylor_expm(x), rtol=0, atol=1e-15)
 
+    def test_power_block_keeps_the_stacked_bits(self):
+        # the powers I, x, x^2, x^3 fill their (4, 16) rows in place; the
+        # stacked form they replace must give the same bytes
+        def stacked(x):
+            x2 = x @ x
+            x4 = x2 @ x2
+            blocks = (_TAYLOR_COEF @ np.stack((_EYE4, x, x2, x2 @ x)).reshape(4, 16)).reshape(4, 4, 4)
+            e = blocks[3]
+            for j in (2, 1, 0):
+                e = e @ x4 + blocks[j]
+            return e
+
+        rng = np.random.default_rng(1)
+        xs = [np.zeros((4, 4))]
+        for _ in range(20):
+            x = rng.standard_normal((4, 4))
+            xs.append(x * (rng.uniform(0.01, 0.49) / np.abs(x).sum(axis=0).max()))
+        for x in xs:
+            assert _taylor_expm(x).tobytes() == stacked(x).tobytes()
+
     def test_squaring_matches_oracles(self):
         # ||F||_1 dt = 96 takes eight doublings; Sigma = UR inv(LR) over the
         # whole interval was 88% off here
@@ -278,13 +301,22 @@ class TestMatrixFractionDecomposition:
         expected = np.exp(-2.0 * hp.zeta * np.sqrt(hp.k_total / hp.m) * hp.dt)
         np.testing.assert_allclose(np.linalg.det(a), expected, rtol=1e-10)
 
-    def test_rejects_bad_dt(self):
-        f = build_drift_matrix(Hyperparams())
-        with pytest.raises(ValueError):
-            matrix_fraction_decomposition(f, 0.0)
-        for bad_f, dt in [(f, np.inf), (f * np.nan, 1.0)]:
-            with pytest.raises(ValueError, match="must be finite"):
-                matrix_fraction_decomposition(bad_f, dt)
+    @pytest.mark.parametrize(
+        "f, dt, match",
+        [
+            (F_DEFAULT, 0.0, "dt must be > 0"),
+            (F_DEFAULT, np.inf, "must be finite"),
+            (F_DEFAULT * np.nan, 1.0, "must be finite"),
+            # a vector was broadcast into both rows; a 3x3 matrix failed
+            # inside NumPy's assignment to the Van Loan block
+            (np.array([1.0, 2.0]), 1.0, re.escape("must be 2x2, got shape (2,)")),
+            (np.eye(3), 1.0, re.escape("must be 2x2, got shape (3, 3)")),
+        ],
+        ids=["zero-dt", "inf-dt", "nan-f", "vector-f", "3x3-f"],
+    )
+    def test_rejects_bad_input(self, f, dt, match):
+        with pytest.raises(ValueError, match=match):
+            matrix_fraction_decomposition(f, dt)
 
     @pytest.mark.parametrize("dt", [True, None, "1"])
     def test_rejects_a_dt_that_is_not_a_number(self, dt):
@@ -350,6 +382,23 @@ class TestPsdCholesky:
 
     def test_zero_matrix(self):
         np.testing.assert_array_equal(psd_cholesky(np.zeros((2, 2))), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "s, match",
+        [
+            # NaN gave the degenerate factor [[0, 0], [0, 1]], inf an inf
+            # factor, and a 3x3 matrix an unpacking error
+            ([[np.nan, 0.1], [0.1, 1.0]], "must be finite"),
+            ([[np.inf, 0.1], [0.1, 1.0]], "must be finite"),
+            ([[1.0, 0.1], [0.1, -np.inf]], "must be finite"),
+            (np.eye(3), re.escape("must be 2x2, got shape (3, 3)")),
+            ([1.0, 1.0], re.escape("must be 2x2, got shape (2,)")),
+        ],
+        ids=["nan", "inf", "minus-inf", "3x3", "vector"],
+    )
+    def test_rejects_what_it_cannot_factor(self, s, match):
+        with pytest.raises(ValueError, match=match):
+            psd_cholesky(s)
 
     def test_rank_deficient(self):
         s = np.array([[4.0, 2.0], [2.0, 1.0]])  # rank 1
@@ -453,6 +502,18 @@ class TestKernelAndSampling:
             z = normals.standard_normal(2)
             scale = np.abs(kernel.a) @ np.abs(x) + np.sqrt(var) * (np.abs(kernel.h) @ np.abs(z))
             assert np.all(np.abs(single - stacked[0, 0]) <= MATVEC_ULPS * EPS * scale)
+
+    def test_single_state_draw_aliases_nothing(self):
+        # the draw is written into the generator's fresh (2,) array, never
+        # into x or into an earlier draw
+        kernel = build_kernel(Hyperparams())
+        x = np.array([0.3, -1.2])
+        rng = np.random.default_rng(2)
+        first, second = sample_transition(kernel, x, 0.5, rng), sample_transition(kernel, x, 0.5, rng)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x) and not np.shares_memory(second, x)
+        assert first.tolist() != second.tolist()
+        assert x.tolist() == [0.3, -1.2]
 
     def test_density_of_a_draw_is_that_of_its_normals(self):
         # x' = A x + sqrt(v) H z has density log_norm - log v - |z|^2 / 2,
