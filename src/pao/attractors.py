@@ -16,11 +16,12 @@ higher cost.  Each reduction over particles runs along axis -2, so it
 carries over to a leading repetition axis.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import read_fields, setting, to_choice, to_name
+from .settings import read_fields, setting, to_choice, to_name
 
 # Differential weight of the derand1bin attractor's rand/1 donor.
 DE_WEIGHT = 0.5
@@ -148,12 +149,15 @@ def draw_donors(n, size, rng):
 
 def weighted_centroid(alpha, k) -> np.ndarray:
     """Stiffness-weighted mean attractor, (N, D): (1/k') sum_r k_r alpha_r,
-    for (r, N, D) attractors ``alpha`` and r stiffnesses ``k``."""
+    for (r, N, D) attractors ``alpha`` and r finite stiffnesses ``k`` >= 0."""
     k = np.asarray(k, dtype=float)
     total = np.add.reduce(k)
-    if alpha.ndim != 3 or k.shape != alpha.shape[:1] or not (total > 0):
+    if (
+        alpha.ndim != 3 or k.shape != alpha.shape[:1] or not (total > 0)
+        or not all(0 <= v < math.inf for v in k.tolist())
+    ):
         raise ValueError(
-            f"need (r, N, D) attractors, r stiffnesses and a total stiffness > 0; "
+            f"need (r, N, D) attractors, r stiffnesses, each finite and >= 0, and a total stiffness > 0; "
             f"got alpha of shape {alpha.shape} and k = {k.tolist()}"
         )
     # the (1, r) x (r, N*D) product np.tensordot(k, alpha, axes=(0, 0)) makes,

@@ -20,8 +20,8 @@ import numpy as np
 from .attractors import draw_donors, particle_mean
 from .benchmarks import Problem
 from .engine import clip, drive, update_archive
-from .kernel import read_fields, setting
 from .records import RunRecord
+from .settings import read_fields, setting
 
 
 @dataclass(frozen=True)

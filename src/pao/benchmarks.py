@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import to_choice, to_float, to_int
+from .settings import to_choice, to_float, to_int
 
 # Refined location of the Schwefel minimiser (per dimension).
 SCHWEFEL_OPT = 420.968746

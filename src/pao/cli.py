@@ -39,8 +39,9 @@ from .harness import (
     standard_suite,
     SUITES,
 )
-from .kernel import Hyperparams, build_kernel, to_choice, to_int, to_items
+from .kernel import Hyperparams, build_kernel
 from .records import read_jsonl, write_jsonl
+from .settings import to_choice, to_int, to_items
 
 PAO_KEYS = tuple(DEFAULT_PAO.params_dict())
 RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")

@@ -28,8 +28,9 @@ import numpy as np
 
 from .attractors import AttractorSpec, check_pop, compute_attractors, noise_scale, weighted_centroid
 from .benchmarks import Problem, shift_to_zero
-from .kernel import Hyperparams, TransitionKernel, build_kernel, read_fields, sample_transition, setting, to_int, to_items
+from .kernel import Hyperparams, TransitionKernel, build_kernel, sample_transition
 from .records import RunRecord, history_entry
+from .settings import read_fields, setting, to_int, to_items
 
 BOUNDS_POLICIES = ("none", "clip", "reflect")
 VELOCITY_INITS = ("zero", "uniform-scaled")

@@ -17,17 +17,17 @@ from .attractors import check_pop
 from .baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from .benchmarks import GRIEWANGK_DENOMINATOR, PROBLEM_NAMES, make_problem
 from .engine import DEFAULT_PAO, PaoConfig
-from .kernel import read_fields, setting, to_choice, to_int
 from .records import write_jsonl
+from .settings import read_fields, setting, to_choice, to_int
 
-# optimiser id -> (module, runner name, default config type).  A runner is looked
-# up by name at each call, so one replaced in its module is the one that runs.
+# optimiser id -> (module, runner name, default config).  A runner is looked up
+# by name at each call, so one replaced in its module is the one that runs.
 _OPTIMIZERS = {
-    "pao": (engine, "run_pao", PaoConfig),
-    "pso": (baselines, "run_pso", PsoConfig),
-    "qpso": (baselines, "run_qpso", QpsoConfig),
-    "de": (baselines, "run_de", DeConfig),
-    "sade": (baselines, "run_sade", SadeConfig),
+    "pao": (engine, "run_pao", DEFAULT_PAO),
+    "pso": (baselines, "run_pso", PsoConfig()),
+    "qpso": (baselines, "run_qpso", QpsoConfig()),
+    "de": (baselines, "run_de", DeConfig()),
+    "sade": (baselines, "run_sade", SadeConfig()),
 }
 OPTIMIZER_IDS = tuple(_OPTIMIZERS)
 # stock suite -> the dimensions its nine problems run in
@@ -61,7 +61,7 @@ class BenchmarkSuite:
     gens: int = setting(100, ">= 0")
     reps: int = setting(20, ">= 1")
     optimizers: tuple = OPTIMIZER_IDS
-    base_seed: int = setting(0, ">= 0")
+    base_seed: int = setting(0, "in [0, 2**64)")
     griewangk_denominator: float = setting(GRIEWANGK_DENOMINATOR, "> 0")
     pao: PaoConfig = DEFAULT_PAO
     pso: PsoConfig = PsoConfig()
@@ -72,12 +72,10 @@ class BenchmarkSuite:
     def __post_init__(self):
         # every cell is checked here, before any run: a setting read_fields
         # refuses (an axis that is not a sequence, a number out of its domain,
-        # a config field not of its config type), a base seed derive_seed
-        # refuses, an empty axis, a problem that is not a (name, dim) pair or
-        # that make_problem rejects, an unknown optimiser, or a population an
-        # optimiser cannot run with
+        # a config field not of its config type), an empty axis, a problem
+        # that is not a (name, dim) pair or that make_problem rejects, an
+        # unknown optimiser, or a population an optimiser cannot run with
         read_fields(self)
-        derive_seed(self.base_seed)
         for what in ("optimizers", "problems"):
             if not getattr(self, what):
                 raise ValueError(f"the suite has no {what}")
@@ -117,11 +115,11 @@ def run_one(optimizer: str, problem, n: int, generations: int, seed, cfg=None):
     ``seed``.
     """
     opt = to_choice("optimizer", optimizer, OPTIMIZER_IDS)
-    module, runner, config_type = _OPTIMIZERS[opt]
+    module, runner, default = _OPTIMIZERS[opt]
     if cfg is None:
-        cfg = config_type()
-    elif not isinstance(cfg, config_type):
-        raise ValueError(f"{opt} must be a {config_type.__name__}, got {cfg!r}")
+        cfg = default
+    elif not isinstance(cfg, type(default)):
+        raise ValueError(f"{opt} must be a {type(default).__name__}, got {cfg!r}")
     return getattr(module, runner)(problem, n, generations, cfg, seed)
 
 

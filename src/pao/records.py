@@ -17,7 +17,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .benchmarks import PROBLEM_NAMES
-from .kernel import to_int
+from .settings import setting, to_int
 
 SERIALISED_FIELDS = (
     "run_id", "optimizer", "problem", "dim", "seed", "pop", "gens", "evals", "params", "history",
@@ -38,20 +38,15 @@ _READ_TYPES = {
 }
 
 
-def _count(domain):
-    """A count field whose value :meth:`RunRecord.check` reads in ``domain``."""
-    return field(metadata={"domain": domain})
-
-
 @dataclass
 class RunRecord:
     run_id: str
     optimizer: str
     problem: str
-    dim: int = _count(">= 1")
-    seed: int = _count(">= 0")
-    pop: int = _count(">= 1")
-    gens: int = _count(">= 0")
+    dim: int = setting(MISSING, ">= 1")
+    seed: int = setting(MISSING, ">= 0")
+    pop: int = setting(MISSING, ">= 1")
+    gens: int = setting(MISSING, ">= 0")
     evals: int
     history: list
     duration_ms: float = 0.0

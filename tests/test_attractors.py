@@ -317,9 +317,13 @@ class TestCentroidAndNoise:
         alpha = np.array([np.full((2, 2), 7.0), np.full((2, 2), 100.0)])
         np.testing.assert_allclose(weighted_centroid(alpha, (2.0, 0.0)), np.full((2, 2), 7.0))
 
-    def test_centroid_rejects_zero_total(self):
+    # a negative stiffness put the centroid outside its attractors, an
+    # infinite one made it NaN
+    @pytest.mark.parametrize("k", [(0.0,), (3.0, -1.0), (np.inf, 1.0)])
+    def test_centroid_rejects_zero_total(self, k):
+        alpha = np.stack([np.zeros((2, 2)), np.ones((2, 2))])[: len(k)]
         with pytest.raises(ValueError, match="stiffness > 0"):
-            weighted_centroid(np.zeros((1, 2, 2)), (0.0,))
+            weighted_centroid(alpha, k)
 
     @given(st.integers(0, 2**32 - 1))
     def test_centroid_matches_loop(self, seed):

@@ -2,7 +2,6 @@
 and SADE, plus algorithm-specific behaviour."""
 
 import json
-import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -190,36 +189,6 @@ def test_runs_match_the_reference_move_rules(runner, reference, cfg, problem, di
 
 
 class TestConfigs:
-    def test_de_crossover_range(self):
-        with pytest.raises(ValueError, match=re.escape("DeConfig.cr must be in [0, 1], got 1.5")):
-            DeConfig(cr=1.5)
-
-    def test_sade_learning_period(self):
-        with pytest.raises(ValueError, match=re.escape("SadeConfig.learning_period must be >= 1, got 0")):
-            SadeConfig(learning_period=0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            PsoConfig(w_start=np.inf)
-        with pytest.raises(ValueError, match="finite"):
-            QpsoConfig(alpha_end=np.nan)
-
-
-    @pytest.mark.parametrize("vmax_frac", [-0.5, 0.0])
-    def test_pso_velocity_clamp_must_be_positive(self, vmax_frac):
-        # a negative clamp drives the swarm to the lower faces, zero freezes it
-        with pytest.raises(ValueError, match="PsoConfig.vmax_frac must be > 0"):
-            PsoConfig(vmax_frac=vmax_frac)
-
-    @pytest.mark.parametrize("name", ["cr_std", "f_std"])
-    def test_sade_spreads_must_be_non_negative(self, name):
-        # a negative one would fail only inside the first SADE move
-        with pytest.raises(ValueError, match=f"SadeConfig.{name} must be >= 0, got -1.0"):
-            SadeConfig(**{name: -1.0})
-
-    def test_sade_spreads_may_be_zero(self):
-        assert SadeConfig(cr_std=0.0, f_std=0.0).f_std == 0.0
-
     @pytest.mark.parametrize(
         "runner, given, default",
         [(run_pso, PsoConfig(c1=2, vmax_frac=np.float64(0.5)), PsoConfig()),

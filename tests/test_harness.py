@@ -206,7 +206,8 @@ class TestSuiteConfig:
             tiny_suite(**{size: value})
 
     @pytest.mark.parametrize(
-        "seed, error", [(-1, "base_seed must be >= 0, got -1"), (2**64, f"base seed must be in [0, 2**64), got {2**64}")]
+        "seed, error", [(-1, "base_seed must be in [0, 2**64), got -1"),
+                        (2**64, f"base_seed must be in [0, 2**64), got {2**64}")]
     )
     def test_rejects_a_base_seed_outside_64_bits(self, seed, error):
         # -1 failed only when the first run derived its seed, and 2**64 ran
@@ -288,6 +289,16 @@ class TestRunOne:
         assert len(calls) == 1
         assert calls[0][:3] == (problem, 8, 3) and calls[0][4] == 1
         assert isinstance(calls[0][3], config_type)
+
+    def test_default_pao_config_builds_no_kernel(self, monkeypatch):
+        # the default is DEFAULT_PAO, whose kernel was built once at import
+        builds = []
+        build = engine.build_kernel
+        monkeypatch.setattr(engine, "build_kernel", lambda hp: builds.append(hp) or build(hp))
+        problem = make_problem("dejong", 2)
+        rec = run_one("pao", problem, 10, 2, 0)
+        assert builds == []
+        assert rec.to_json_dict(False) == run_one("pao", problem, 10, 2, 0, cfg=engine.DEFAULT_PAO).to_json_dict(False)
 
 
 class TestRunCell:

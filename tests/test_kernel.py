@@ -87,38 +87,9 @@ class TestHyperparams:
         assert (hp.m, hp.zeta, hp.k, hp.q0, hp.dt) == (1.0, 0.2, (1.0, 1.0), 1.0, 1.0)
         assert hp.k_total == 2.0
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(m=0.0),
-            dict(m=-1.0),
-            dict(zeta=-0.1),
-            dict(dt=0.0),
-            dict(q0=-1e-9),
-            dict(k=(1.0, -0.5)),
-            dict(k=(0.0,)),
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            Hyperparams(**kwargs)
-
-    @pytest.mark.parametrize(
-        "field, kwargs",
-        [
-            ("m", dict(m=np.inf)),
-            ("zeta", dict(zeta=np.nan)),
-            ("zeta", dict(zeta=np.inf)),
-            ("q0", dict(q0=np.nan)),
-            ("q0", dict(q0=np.inf)),
-            ("dt", dict(dt=np.inf)),
-            ("k", dict(k=(1.0, np.inf))),
-            ("k", dict(k=(np.nan, 1.0))),
-        ],
-    )
-    def test_rejects_non_finite(self, field, kwargs):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            Hyperparams(**kwargs)
+    def test_rejects_invalid(self):
+        with pytest.raises(ValueError, match="at least one stiffness must be strictly positive"):
+            Hyperparams(k=(0.0,))
 
     @pytest.mark.parametrize(
         "kwargs, entries",

@@ -1,8 +1,8 @@
 """Settings across every config type: each reads its numbers through
-``kernel.to_float`` or ``kernel.to_int`` and its names through
-``kernel.to_choice``, so the same bad value is rejected everywhere with a
+``settings.to_float`` or ``settings.to_int`` and its names through
+``settings.to_choice``, so the same bad value is rejected everywhere with a
 ValueError that names the setting; a setting declared with
-``kernel.setting``, every function argument read in a domain and every name
+``settings.setting``, every function argument read in a domain and every name
 choice is also held to its domain, in one message form."""
 
 import json
@@ -18,7 +18,8 @@ from pao.baselines import DeConfig, PsoConfig, QpsoConfig, SadeConfig
 from pao.benchmarks import PROBLEM_NAMES, make_problem
 from pao.engine import BOUNDS_POLICIES, VELOCITY_INITS, PaoConfig, initialize_swarm
 from pao.harness import OPTIMIZER_IDS, SUITES, BenchmarkSuite, run_one, standard_suite
-from pao.kernel import Hyperparams, to_float
+from pao.kernel import Hyperparams
+from pao.settings import to_float
 
 from support import RUNNERS
 
@@ -64,7 +65,9 @@ SETTINGS = [
       for key in keys],
     ("SadeConfig.learning_period", keyword(SadeConfig, "learning_period"), True),
 ]
-BAD = [True, "0.5", None, float("nan"), float("inf")]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+BAD = [True, "0.5", None, *NON_FINITE]
+FLOATS = {setting for setting, _, integer in SETTINGS if not integer}
 
 
 @pytest.mark.parametrize(
@@ -76,7 +79,8 @@ BAD = [True, "0.5", None, float("nan"), float("inf")]
 )
 def test_every_config_type_rejects_the_same_bad_values(tmp_path, setting, build, value):
     name = setting.split(".")[1]
-    with pytest.raises(ValueError, match=re.escape(name)):
+    error = f"{name} must be finite" if setting in FLOATS and value in NON_FINITE else name
+    with pytest.raises(ValueError, match=re.escape(error)):
         build(value, tmp_path)
 
 
@@ -173,7 +177,7 @@ DECLARED = {
     "BenchmarkSuite.pop": ">= 1",
     "BenchmarkSuite.gens": ">= 0",
     "BenchmarkSuite.reps": ">= 1",
-    "BenchmarkSuite.base_seed": ">= 0",
+    "BenchmarkSuite.base_seed": "in [0, 2**64)",
     "BenchmarkSuite.griewangk_denominator": "> 0",
 }
 # config type -> (builder taking one setting by keyword, label its errors put before the field)
@@ -192,7 +196,7 @@ BUILDERS = {
 EDGES = {
     float: {"> 0": ([0.0, -5e-324], [5e-324]), ">= 0": ([-5e-324], [0.0]),
             "in [0, 1]": ([-5e-324, 1.0 + 2.0**-52], [0.0, 1.0])},
-    int: {">= 0": ([-1], [0]), ">= 1": ([0], [1])},
+    int: {">= 0": ([-1], [0]), ">= 1": ([0], [1]), "in [0, 2**64)": ([-1, 2**64], [0, 2**64 - 1])},
 }
 
 
