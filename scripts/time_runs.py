@@ -4,9 +4,10 @@
 0 .. N-1, with numeric libraries held to one thread.  A second table gives
 the kernel layer in us/call: ``build_kernel`` of the default
 hyperparameters, and ``sample_transition`` and ``transition_logpdf`` of one
-(2,) state.  A third gives the donor draw in us/call: ``draw_donors`` at
-pop 100 with the three donors of DE and ``derand1bin`` and the four of
-SADE.  Each us/call figure is the median over batches of repeated calls.
+(2,) state.  A third gives the attractor layer in us/call at pop 100:
+``weighted_centroid`` of two attractors in 2D, and ``draw_donors`` with
+the three donors of DE and ``derand1bin`` and the four of SADE.  Each
+us/call figure is the median over batches of repeated calls.
 
     PYTHONPATH=src python3 scripts/time_runs.py              # 100 generations, 7 seeds
     PYTHONPATH=src python3 scripts/time_runs.py --gens 2 --seeds 1
@@ -27,6 +28,7 @@ DIMS = (2, 8)
 PROBLEM = "rastrigin"
 BATCHES = 25
 CALLS = 200  # per batch
+CENTROID_K = (1.0, 1.0)  # the default menu's two stiffnesses
 DONOR_SIZES = (3, 4)  # DE and derand1bin; SADE
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
@@ -84,15 +86,18 @@ def time_kernel() -> dict:
     })
 
 
-def time_donors() -> dict:
-    """``draw_donors(POP, size)`` per DONOR_SIZES -> median us of one call."""
+def time_attractors() -> dict:
+    """``weighted_centroid`` of CENTROID_K's attractors at (POP, 2), then
+    ``draw_donors(POP, size)`` per DONOR_SIZES -> median us of one call."""
     import numpy as np
 
-    from pao.attractors import draw_donors
+    from pao.attractors import draw_donors, weighted_centroid
 
     rng = np.random.default_rng(0)
+    alpha = rng.standard_normal((len(CENTROID_K), POP, 2))
     return median_us({
-        f"draw_donors({POP}, {size})": lambda size=size: draw_donors(POP, size, rng) for size in DONOR_SIZES
+        f"weighted_centroid({len(CENTROID_K)}, {POP}, 2)": lambda: weighted_centroid(alpha, CENTROID_K),
+        **{f"draw_donors({POP}, {size})": lambda size=size: draw_donors(POP, size, rng) for size in DONOR_SIZES},
     })
 
 
@@ -126,8 +131,8 @@ def main(argv=None) -> int:
     print(format_table(time_runs(args.gens, args.seeds)))
     print(f"us/call of the kernel layer, one (2,) state, median of {BATCHES} batches of {CALLS} calls")
     print(format_us(time_kernel()))
-    print(f"us/call of the donor draw, pop {POP}, median of {BATCHES} batches of {CALLS} calls")
-    print(format_us(time_donors()))
+    print(f"us/call of the attractor layer, pop {POP}, median of {BATCHES} batches of {CALLS} calls")
+    print(format_us(time_attractors()))
     return 0
 
 

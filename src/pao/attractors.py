@@ -13,11 +13,17 @@ A generation runs a few dozen NumPy calls on small arrays, so call overhead
 counts: reductions go through the ufunc's ``reduce`` rather than the
 ``mean``/``sum``/``min``/``max`` wrappers, which give the same bits at a
 higher cost.  Each reduction over particles runs along axis -2, so it
-carries over to a leading repetition axis.
+carries over to a leading repetition axis.  What a run holds fixed is
+checked and built once, on first use, in a bounded least-recently-used
+cache of read-only arrays: ``weighted_centroid`` keeps one (1, r) stiffness
+row and its total per distinct ``k`` (a bad ``k`` raises and is never
+kept), and ``draw_donors`` one (size, n) array of draw bounds per
+(n, size).
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,45 +130,76 @@ def _de_donors(positions, rng):
     a, b, c distinct and not the particle itself; no crossover is applied."""
     n = positions.shape[0]
     check_pop("derand1bin", n)
-    p = positions[draw_donors(n, 3, rng)]
-    return p[:, 0] + DE_WEIGHT * (p[:, 1] - p[:, 2])
+    # gathered on the (3, n) picks, each donor is a contiguous (n, D) slice
+    p = positions[draw_donors(n, 3, rng).T]
+    return p[0] + DE_WEIGHT * (p[1] - p[2])
 
 
 def draw_donors(n, size, rng):
     """(n, size) donor indices shared by the DE attractor and the DE/SADE
     baselines: row i holds ``size`` distinct indices from range(n) without i
-    (n > size), each pick uniform over the indices not yet taken."""
-    # pick t is one of the n - 1 - t free slots; one call fills the (size, n)
-    # block row by row, the draws of one rng.integers(n - 1 - t, size=n) per t
-    picks = rng.integers(np.arange(n - 1, n - 1 - size, -1)[:, None], size=(size, n))
+    (n > size), each pick uniform over the indices not yet taken.  It is
+    :func:`decode_donors` of one ``rng.integers`` draw on the cached bounds,
+    transposed."""
+    return decode_donors(rng.integers(_donor_bounds(n, size))).T
+
+
+@lru_cache(maxsize=32)
+def _donor_bounds(n, size):
+    # pick t is one of the n - 1 - t free slots: row t of this (size, n)
+    # block, which one rng.integers call fills row by row with the draws of
+    # one rng.integers(n - 1 - t, size=n) per t
+    bounds = np.repeat(np.arange(n - 1, n - 1 - size, -1)[:, None], n, axis=1)
+    bounds.flags.writeable = False
+    return bounds
+
+
+def decode_donors(picks):
+    """Map raw draws to donor indices in place and return them: ``picks`` is
+    a (..., size, n) stack of draws on the bounds ``draw_donors`` uses, one
+    (size, n) block per leading index, decoded as that many separate calls
+    would decode them."""
     # pick t indexes range(n) less the row's own index and picks 0 .. t - 1.
     # Decoding right to left as a Lehmer code puts each removal back, last
     # first: every later pick at or above pick t steps up by one, then every
     # pick at or above the own index does.  That is the index that stepping
     # the pick past the taken indices in ascending order reaches.
-    for t in range(size - 2, -1, -1):
-        later = picks[t + 1:]
-        later += later >= picks[t]
-    picks += picks >= np.arange(n)
-    return picks.T
+    for t in range(picks.shape[-2] - 2, -1, -1):
+        later = picks[..., t + 1:, :]
+        later += later >= picks[..., t:t + 1, :]
+    picks += picks >= np.arange(picks.shape[-1])
+    return picks
 
 
 def weighted_centroid(alpha, k) -> np.ndarray:
     """Stiffness-weighted mean attractor, (N, D): (1/k') sum_r k_r alpha_r,
     for (r, N, D) attractors ``alpha`` and r finite stiffnesses ``k`` >= 0."""
-    k = np.asarray(k, dtype=float)
-    total = np.add.reduce(k)
-    if (
-        alpha.ndim != 3 or k.shape != alpha.shape[:1] or not (total > 0)
-        or not all(0 <= v < math.inf for v in k.tolist())
-    ):
+    try:
+        row, total = _stiffness_row(tuple(k))
+    except (TypeError, ValueError):
+        row = None
+    if row is None or alpha.ndim != 3 or row.shape[1] != alpha.shape[0]:
         raise ValueError(
             f"need (r, N, D) attractors, r stiffnesses, each finite and >= 0, and a total stiffness > 0; "
-            f"got alpha of shape {alpha.shape} and k = {k.tolist()}"
+            f"got alpha of shape {alpha.shape} and k = {np.asarray(k, dtype=float).tolist()}"
         )
     # the (1, r) x (r, N*D) product np.tensordot(k, alpha, axes=(0, 0)) makes,
     # without its argument handling
-    return np.dot(k[None, :], alpha.reshape(k.shape[0], -1)).reshape(alpha.shape[1:]) / total
+    return np.dot(row, alpha.reshape(row.shape[1], -1)).reshape(alpha.shape[1:]) / total
+
+
+@lru_cache(maxsize=32)
+def _stiffness_row(k):
+    """The read-only (1, r) row of the stiffness tuple ``k`` and its total;
+    a ``k`` that is not r finite stiffnesses >= 0 with a positive total
+    raises ``ValueError``.  Adding 0.0 reads a stiffness of -0.0 as +0.0, so
+    keys that compare equal give the same row in whatever order they come."""
+    k = np.asarray(k, dtype=float) + 0.0
+    total = np.add.reduce(k)
+    if k.ndim != 1 or not (total > 0) or not all(0 <= v < math.inf for v in k.tolist()):
+        raise ValueError(f"bad stiffnesses {k.tolist()}")
+    k.flags.writeable = False
+    return k[None, :], total
 
 
 def noise_scale(swarm) -> float:

@@ -117,12 +117,15 @@ def _de_trials(problem, swarm, fs, crs, rng, rand1=None):
     scalars or one per row) and one forced donor coordinate."""
     pos = swarm.positions
     n, d = pos.shape
-    fs, crs = (np.reshape(v, (-1, 1)) for v in (fs, crs))
-    p = pos[draw_donors(n, 3 if rand1 is None else 4, rng)]
-    donors = p[:, 0] + fs * (p[:, 1] - p[:, 2])
+    # a scalar is used as it is and one value per row as a column, decided
+    # per argument: a caller may pass a scalar F beside per-row CRs
+    fs, crs = (v[:, None] if isinstance(v, np.ndarray) else v for v in (fs, crs))
+    # gathered on the (size, n) picks, each donor is a contiguous (n, D) slice
+    p = pos[draw_donors(n, 3 if rand1 is None else 4, rng).T]
+    donors = p[0] + fs * (p[1] - p[2])
     if rand1 is not None:
         best = pos[swarm.fitness.argmin()]
-        to_best = pos + fs * (best - pos) + fs * (p[:, 0] - p[:, 1]) + fs * (p[:, 2] - p[:, 3])
+        to_best = pos + fs * (best - pos) + fs * (p[0] - p[1]) + fs * (p[2] - p[3])
         donors = np.where(rand1[:, None], donors, to_best)
     cross = rng.random((n, d)) < crs
     cross[np.arange(n), rng.integers(d, size=n)] = True

@@ -46,7 +46,9 @@ from .settings import to_choice, to_int, to_items
 PAO_KEYS = tuple(DEFAULT_PAO.params_dict())
 RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")
 BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed", "griewangk_denominator") + PAO_KEYS
-INT_KEYS = ("dim", "pop", "gens", "reps", "seed")
+# integer key -> the domain it is read in here, or None; reading the seed's
+# here makes run and bench refuse a bad seed alike, by its key
+INT_KEYS = {"dim": None, "pop": None, "gens": None, "reps": None, "seed": "in [0, 2**64)"}
 # name key -> the names it may take; each entry of `optimizers` takes OPTIMIZER_IDS
 NAME_KEYS = {"optimizer": OPTIMIZER_IDS, "problem": PROBLEM_NAMES}
 # list keys that a config may also give as one comma-separated string
@@ -86,7 +88,7 @@ def _read(given: dict) -> dict:
         if isinstance(given.get(key), str):
             given[key] = _split(given[key])
     for key in [key for key in INT_KEYS if key in given]:
-        given[key] = to_int(f"config key {key!r}", given[key])
+        given[key] = to_int(f"config key {key!r}", given[key], INT_KEYS[key])
     for key in [key for key in NAME_KEYS if key in given]:
         given[key] = to_choice(f"config key {key!r}", given[key], NAME_KEYS[key])
     if "optimizers" in given:

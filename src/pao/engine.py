@@ -285,21 +285,24 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
         params=params,
     )
     swarm = start(n, rng) if start else _start_swarm(problem, n, rng)
-    for g in range(generations + 1):
-        if g:
-            swarm = move(swarm, rng)
-        best = float(swarm.global_best_fit)
-        record.history.append(
-            history_entry(
-                g=swarm.generation,
-                best=best,
-                # bit for bit swarm.fitness.mean(), without the wrapper's overhead
-                mean=float(np.add.reduce(swarm.fitness, axis=-1) / n),
-                shifted_best=shift_to_zero(problem, best),
+    # a move that overflows is reported once, by evaluate_population's
+    # ObjectiveEvaluationError, not first by a RuntimeWarning per NumPy call
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in range(generations + 1):
+            if g:
+                swarm = move(swarm, rng)
+            best = float(swarm.global_best_fit)
+            record.history.append(
+                history_entry(
+                    g=swarm.generation,
+                    best=best,
+                    # bit for bit swarm.fitness.mean(), without the wrapper's overhead
+                    mean=float(np.add.reduce(swarm.fitness, axis=-1) / n),
+                    shifted_best=shift_to_zero(problem, best),
+                )
             )
-        )
-        # shared, not copied: a new best is always a new array, never written in place
-        record.best_pos.append(swarm.global_best_pos)
+            # shared, not copied: a new best is always a new array, never written in place
+            record.best_pos.append(swarm.global_best_pos)
     record.duration_ms = (time.perf_counter() - t0) * 1e3
     return record
 

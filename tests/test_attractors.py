@@ -13,8 +13,11 @@ from pao.attractors import (
     DE_WEIGHT,
     VALID_KINDS,
     _de_donors,
+    _donor_bounds,
     _fitness_weighted_mean,
+    _stiffness_row,
     compute_attractors,
+    decode_donors,
     draw_donors,
     noise_scale,
     particle_mean,
@@ -293,6 +296,24 @@ class TestDonorDraw:
             # the one block call leaves the stream where the per-pick calls do
             assert ours.random() == theirs.random()
 
+    @pytest.mark.parametrize("n, size", [(n, size) for n in (4, 5, 100, 1000) for size in (1, 2, 3, 4) if n > size])
+    def test_decoding_a_stack_of_runs_matches_one_call_per_run(self, n, size):
+        runs = 5
+        stack = np.stack([np.random.default_rng(r).integers(_donor_bounds(n, size)) for r in range(runs)])
+        got = decode_donors(stack)
+        assert got is stack and got.shape == (runs, size, n)
+        for r in range(runs):
+            want = draw_donors(n, size, np.random.default_rng(r))
+            assert got[r].T.dtype == want.dtype
+            np.testing.assert_array_equal(got[r].T, want)
+
+    def test_the_cached_bounds_are_read_only(self):
+        bounds = _donor_bounds(100, 3)
+        assert _donor_bounds(100, 3) is bounds and not bounds.flags.writeable
+        np.testing.assert_array_equal(bounds, np.repeat([[99], [98], [97]], 100, axis=1))
+        with pytest.raises(ValueError, match="read-only"):
+            bounds[0, 0] = 0
+
     def test_ordered_triples_are_uniform(self):
         # chi-squared over the 24 ordered triples of each row at n = 5; 49.73
         # is the 0.999 quantile of chi2 with 23 degrees of freedom
@@ -350,6 +371,45 @@ class TestCentroidAndNoise:
     def test_centroid_rejects_shape_mismatch(self, shape, k):
         with pytest.raises(ValueError, match=r"\(r, N, D\) attractors, r stiffnesses"):
             weighted_centroid(np.zeros(shape), k)
+
+    @pytest.mark.parametrize(
+        "k", [(1, 1), (3.0, 1.0), (2.0, 0.0), (1.0, 1.5, 0.25), np.array([1.0, 1.5, 0.25]), [0.5, 2]], ids=repr
+    )
+    def test_centroid_bits_match_the_uncached_product(self, k):
+        # the product with k read afresh on every call, as it was before the
+        # stiffness row was cached; the second call reads the cached row
+        alpha = np.random.default_rng(5).normal(scale=30.0, size=(len(k), 7, 3))
+        row = np.asarray(k, dtype=float)
+        want = np.dot(row[None, :], alpha.reshape(len(k), -1)).reshape(alpha.shape[1:]) / np.add.reduce(row)
+        for _ in range(2):
+            got = weighted_centroid(alpha, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [(3.0, -1.0), (np.nan, 1.0), (0.0, 0.0), np.array([[1.0, 1.0]]), 2.0])
+    def test_centroid_rejects_a_bad_k_on_every_call(self, k):
+        alpha = np.ones((2, 3, 2))
+        kept = _stiffness_row.cache_info().currsize
+        error = (
+            "need (r, N, D) attractors, r stiffnesses, each finite and >= 0, and a total stiffness > 0; "
+            f"got alpha of shape (2, 3, 2) and k = {np.asarray(k, dtype=float).tolist()}"
+        )
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                weighted_centroid(alpha, k)
+        assert _stiffness_row.cache_info().currsize == kept
+
+    def test_the_cached_stiffness_row_is_read_only(self):
+        row, total = _stiffness_row((3.0, 1.0))
+        assert _stiffness_row((3.0, 1.0))[0] is row
+        assert row.shape == (1, 2) and row.tolist() == [[3.0, 1.0]] and total == 4.0
+        with pytest.raises(ValueError, match="read-only"):
+            row[0, 0] = 0.0
+
+    def test_a_negative_zero_stiffness_shares_its_entry(self):
+        # -0.0 == 0.0, so both read one cache entry, which holds +0.0
+        # whichever came first
+        for k in ((1.0, -0.0), (1.0, 0.0)):
+            assert np.signbit(_stiffness_row(k)[0]).tolist() == [[False, False]]
 
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_noise_scale_bits_match_mean_formula(self, n, d, seed):

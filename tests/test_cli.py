@@ -182,7 +182,8 @@ class TestRun:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"seed": seed}))
             argv += ["--config", str(cfg)]
-        with pytest.raises(ValueError, match=re.escape(f"base seed must be in [0, 2**64), got {seed}")):
+        error = f"config key 'seed' must be in [0, 2**64), got {seed}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             main(argv)
         assert not out.exists()
 
@@ -323,6 +324,24 @@ class TestBenchAndPlotData:
         assert len((out / "records.jsonl").read_text().splitlines()) == 9
         assert len(json.loads((out / "summary.json").read_text())["entries"]) == 9
         assert len(list((out / "plots").glob("*.csv"))) == 9
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("given_in", ["flag", "config"])
+    def test_bench_rejects_a_seed_outside_64_bits_by_its_key(self, tmp_path, seed, given_in):
+        # it was named base_seed, the suite's field, where run named it
+        # "base seed"
+        out = tmp_path / "results"
+        argv = ["bench", "--suite", "2d", "--reps", "1", "--out", str(out)]
+        if given_in == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(cfg)]
+        error = f"config key 'seed' must be in [0, 2**64), got {seed}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            main(argv)
+        assert not out.exists()
 
     def test_bench_rejects_zero_reps(self, tmp_path):
         out = tmp_path / "results"

@@ -340,11 +340,13 @@ class TestEvaluatePopulation:
         with pytest.raises(ObjectiveEvaluationError, match=want):
             evaluate_population(make_problem("dejong", 2), positions)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_move_that_overflows_is_not_blamed_on_the_objective(self):
         # the attractor overflows to +-inf, and the kernel's product turns
-        # inf * 0 into NaN
+        # inf * 0 into NaN; the run reports it by its error alone, with no
+        # RuntimeWarning first
         cfg = PaoConfig(specs=(AttractorSpec("stochasticgaussian", stddev=1e308), AttractorSpec("globalbest")))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        with pytest.raises(
             ObjectiveEvaluationError, match="^trial position .* is not finite, so objective 'dejong' was not at fault$"
         ):
             run_pao(make_problem("dejong", 2), 10, 3, cfg, 0)

@@ -37,15 +37,15 @@ def test_prints_the_kernel_layer_in_us_per_call():
     assert len(cells) == 3 and all(float(c) > 0 for c in cells)
 
 
-def test_prints_the_donor_draw_in_us_per_call():
+def test_prints_the_attractor_layer_in_us_per_call():
     proc = run("--gens", "0", "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
     title, header, rule, row = proc.stdout.splitlines()[9:]
-    assert title == "us/call of the donor draw, pop 100, median of 25 batches of 200 calls"
-    assert header == "| draw_donors(100, 3) | draw_donors(100, 4) |"
-    assert rule == "|----:|----:|"
+    assert title == "us/call of the attractor layer, pop 100, median of 25 batches of 200 calls"
+    assert header == "| weighted_centroid(2, 100, 2) | draw_donors(100, 3) | draw_donors(100, 4) |"
+    assert rule == "|----:|----:|----:|"
     cells = row.strip("| ").split(" | ")
-    assert len(cells) == 2 and all(float(c) > 0 for c in cells)
+    assert len(cells) == 3 and all(float(c) > 0 for c in cells)
 
 
 def test_rejects_zero_seeds():
