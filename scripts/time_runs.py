@@ -7,7 +7,10 @@ hyperparameters, and ``sample_transition`` and ``transition_logpdf`` of one
 (2,) state.  A third gives the attractor layer in us/call at pop 100:
 ``weighted_centroid`` of two attractors in 2D, and ``draw_donors`` with
 the three donors of DE and ``derand1bin`` and the four of SADE.  Each
-us/call figure is the median over batches of repeated calls.
+us/call figure is the median over batches of repeated calls.  A last row
+gives PAO's ms/run on rastrigin at pop 1000 in 32D, the size of the
+benchmark's ``pao-large`` workload, where a run draws its noise one
+generation ahead on a second CPU if it has one.
 
     PYTHONPATH=src python3 scripts/time_runs.py              # 100 generations, 7 seeds
     PYTHONPATH=src python3 scripts/time_runs.py --gens 2 --seeds 1
@@ -30,27 +33,32 @@ BATCHES = 25
 CALLS = 200  # per batch
 CENTROID_K = (1.0, 1.0)  # the default menu's two stiffnesses
 DONOR_SIZES = (3, 4)  # DE and derand1bin; SADE
+LARGE = (1000, 32)  # pop and dim of the large-swarm row
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
 
 
-def time_runs(gens: int, seeds: int) -> dict:
-    """(optimiser, dim) -> median ms of one run over ``seeds`` seeds."""
+def median_run_ms(opt: str, n: int, dim: int, gens: int, seeds: int) -> float:
+    """Median ms of one ``opt`` run on PROBLEM over seeds 0 .. seeds-1, after
+    one untimed run."""
     from pao.benchmarks import make_problem
-    from pao.harness import OPTIMIZER_IDS, run_one
+    from pao.harness import run_one
 
-    table = {}
-    for dim in DIMS:
-        problem = make_problem(PROBLEM, dim)
-        for opt in OPTIMIZER_IDS:
-            run_one(opt, problem, POP, gens, seed=0)
-            ms = []
-            for seed in range(seeds):
-                t0 = time.perf_counter()
-                run_one(opt, problem, POP, gens, seed=seed)
-                ms.append((time.perf_counter() - t0) * 1e3)
-            table[(opt, dim)] = statistics.median(ms)
-    return table
+    problem = make_problem(PROBLEM, dim)
+    run_one(opt, problem, n, gens, seed=0)
+    ms = []
+    for seed in range(seeds):
+        t0 = time.perf_counter()
+        run_one(opt, problem, n, gens, seed=seed)
+        ms.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(ms)
+
+
+def time_runs(gens: int, seeds: int) -> dict:
+    """(optimiser, dim) -> median ms of one run at POP over ``seeds`` seeds."""
+    from pao.harness import OPTIMIZER_IDS
+
+    return {(opt, dim): median_run_ms(opt, POP, dim, gens, seeds) for dim in DIMS for opt in OPTIMIZER_IDS}
 
 
 def median_us(calls: dict) -> dict:
@@ -101,11 +109,11 @@ def time_attractors() -> dict:
     })
 
 
-def format_us(us: dict) -> str:
+def format_row(row: dict, digits: int = 2) -> str:
     return "\n".join([
-        "| " + " | ".join(us) + " |",
-        "|" + "----:|" * len(us),
-        "| " + " | ".join(f"{v:.2f}" for v in us.values()) + " |",
+        "| " + " | ".join(row) + " |",
+        "|" + "----:|" * len(row),
+        "| " + " | ".join(f"{v:.{digits}f}" for v in row.values()) + " |",
     ])
 
 
@@ -130,9 +138,12 @@ def main(argv=None) -> int:
     print(f"ms/run on {PROBLEM}, pop {POP}, gens {args.gens}, median of {args.seeds} seeds")
     print(format_table(time_runs(args.gens, args.seeds)))
     print(f"us/call of the kernel layer, one (2,) state, median of {BATCHES} batches of {CALLS} calls")
-    print(format_us(time_kernel()))
+    print(format_row(time_kernel()))
     print(f"us/call of the attractor layer, pop {POP}, median of {BATCHES} batches of {CALLS} calls")
-    print(format_us(time_attractors()))
+    print(format_row(time_attractors()))
+    n, dim = LARGE
+    print(f"ms/run of pao on {PROBLEM}, pop {n}, {dim}D, gens {args.gens}, median of {args.seeds} seeds")
+    print(format_row({f"pao {n}x{dim}": median_run_ms("pao", n, dim, args.gens, args.seeds)}, digits=1))
     return 0
 
 

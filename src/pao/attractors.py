@@ -46,6 +46,9 @@ _RULES = {
     ),
 }
 VALID_KINDS = tuple(_RULES)
+# the kinds whose rule draws from rng; a run whose menu holds one draws its
+# noise in line (see engine.noise_block), so its draws keep their order
+DRAWING_KINDS = frozenset({"derand1bin", "stochasticgaussian"})
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ PAO_KEYS = tuple(DEFAULT_PAO.params_dict())
 RUN_KEYS = ("optimizer", "problem", "dim", "pop", "gens", "reps", "seed", "out", "griewangk_denominator")
 BENCH_KEYS = ("optimizers", "pop", "gens", "reps", "seed", "griewangk_denominator") + PAO_KEYS
 # integer key -> the domain it is read in here, or None; reading the seed's
-# here makes run and bench refuse a bad seed alike, by its key
+# here makes run and bench refuse a bad seed alike, by its flag or key
 INT_KEYS = {"dim": None, "pop": None, "gens": None, "reps": None, "seed": "in [0, 2**64)"}
 # name key -> the names it may take; each entry of `optimizers` takes OPTIMIZER_IDS
 NAME_KEYS = {"optimizer": OPTIMIZER_IDS, "problem": PROBLEM_NAMES}
@@ -78,24 +78,26 @@ def _given(args, keys) -> dict:
     """The config file's values under the command's flags: only the values
     the user gave, comma-separated lists split, integer keys checked and
     names checked and normalised.  A config value is checked even where a
-    flag overrides it."""
+    flag overrides it.  An error names a flag's value by the flag
+    (``--seed``) and a config value by its key (``config key 'seed'``)."""
     flags = {key: v for key, v in vars(args).items() if key in keys and v is not None}
-    return {**_read(_load_config(args.config, keys)), **_read(flags)}
+    return {**_read(_load_config(args.config, keys)), **_read(flags, "--{}")}
 
 
-def _read(given: dict) -> dict:
+def _read(given: dict, name: str = "config key {!r}") -> dict:
+    """Read ``given`` in place, naming each key as ``name.format(key)``."""
     for key in LIST_KEYS:
         if isinstance(given.get(key), str):
             given[key] = _split(given[key])
     for key in [key for key in INT_KEYS if key in given]:
-        given[key] = to_int(f"config key {key!r}", given[key], INT_KEYS[key])
+        given[key] = to_int(name.format(key), given[key], INT_KEYS[key])
     for key in [key for key in NAME_KEYS if key in given]:
-        given[key] = to_choice(f"config key {key!r}", given[key], NAME_KEYS[key])
+        given[key] = to_choice(name.format(key), given[key], NAME_KEYS[key])
     if "optimizers" in given:
-        what = "config key 'optimizers'"
+        what = name.format("optimizers")
         given["optimizers"] = [to_choice(what, o, OPTIMIZER_IDS) for o in to_items(what, given["optimizers"])]
     if not isinstance(given.get("out", ""), str):
-        raise ValueError(f"config key 'out' must be a path string, got {given['out']!r}")
+        raise ValueError(f"{name.format('out')} must be a path string, got {given['out']!r}")
     return given
 
 

@@ -19,14 +19,24 @@ archives, so every evaluation of a run goes through it.  A trial outside
 the problem's box never enters an archive; clipping and reflecting keep
 every trial inside it, so only the PAO step under ``bounds_policy="none"``
 asks ``update_archive`` to test the trials against the box.
+
+A PAO run whose (N, D, 2) noise block is its generations' only draw and
+large enough (``noise_block``) hands ``step_swarm`` a ``DrawAhead`` in
+place of its generator: a stand-in whose one method, ``standard_normal``,
+returns the block a worker thread drew from the run's generator while the
+previous generation ran, so the stream, and every record, is the one a run
+drawing in line makes.
 """
 
+import os
+import threading
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .attractors import AttractorSpec, check_pop, compute_attractors, noise_scale, weighted_centroid
+from .attractors import DRAWING_KINDS, AttractorSpec, check_pop, compute_attractors, noise_scale, weighted_centroid
 from .benchmarks import Problem, shift_to_zero
 from .kernel import Hyperparams, TransitionKernel, build_kernel, sample_transition
 from .records import RunRecord, history_entry
@@ -34,6 +44,12 @@ from .settings import read_fields, setting, to_int, to_items
 
 BOUNDS_POLICIES = ("none", "clip", "reflect")
 VELOCITY_INITS = ("zero", "uniform-scaled")
+# the fewest normals in a generation's (N, D, 2) block for which a run draws
+# it one generation ahead on a second CPU (see noise_block).  On two cores,
+# default menu on rastrigin, 100 generations, against drawing in line: 0.89×
+# at 100×8 (1600 normals), 0.94-1.03× at 100×12, 1.11-1.13× at 100×16,
+# 1.17× at 100×20, 1.2× at 4800 and 1.7× at 1000×32 (64 000 normals)
+DRAW_AHEAD_MIN = 4000
 
 
 class ObjectiveEvaluationError(RuntimeError):
@@ -253,7 +269,112 @@ def step_swarm(swarm: Swarm, cfg: PaoConfig, problem: Problem, rng) -> Swarm:
     return update_archive(swarm, pos, vel, problem, may_leave_box=cfg.bounds_policy == "none")[0]
 
 
-def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None):
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# set in run_suite's pooled workers, which already give every CPU a process
+_in_pool = False
+
+
+def draw_in_line():
+    """Make every later run of this process draw its noise in line: the
+    initializer of ``run_suite``'s pooled workers."""
+    global _in_pool
+    _in_pool = True
+
+
+def noise_block(cfg: PaoConfig, swarm: Swarm):
+    """The (N, D, 2) shape of the normal block each ``step_swarm`` on
+    ``swarm``'s population draws, where a run should draw it one generation
+    ahead (see :class:`DrawAhead`); None where the run draws in line.
+
+    Ahead means: the block holds at least ``DRAW_AHEAD_MIN`` normals, q0 > 0,
+    no attractor kind of the menu draws (so the block is a generation's only
+    draw), the process may run on two CPUs or more, and it is not one of
+    ``run_suite``'s pooled workers.
+    """
+    shape = swarm.positions.shape + (2,)
+    if (
+        2 * swarm.positions.size < DRAW_AHEAD_MIN
+        or not cfg.hp.q0 > 0
+        or any(spec.kind in DRAWING_KINDS for spec in cfg.specs)
+        or _in_pool
+        or usable_cpus() < 2
+    ):
+        return None
+    return shape
+
+
+class DrawAhead:
+    """Generator stand-in that draws a run's normal blocks one ahead.
+
+    A worker thread draws each ``shape`` block of normals from the run's own
+    generator ``rng`` while the caller works, ``blocks`` blocks at most, in
+    the generator's own order: the stream is the one a run drawing in line
+    reads, as long as these blocks are all it draws.  ``standard_normal`` is
+    the one method: it hands over the block drawn ahead and starts the next,
+    and any other shape raises, so a rule that drew anything else would fail
+    loudly rather than reorder the stream.  :meth:`close`, or leaving a
+    ``with`` block on it, stops and joins the thread; call it once, however
+    the run ends.
+    """
+
+    def __init__(self, rng, shape, blocks):
+        self._rng, self._shape, self._left = rng, shape, blocks - 1
+        # two locks used as binary semaphores, each released by the other
+        # thread: _go asks the worker for a block (the first is asked for
+        # here, so _go starts free), _ready hands one over
+        self._go, self._ready = threading.Lock(), threading.Lock()
+        self._ready.acquire()
+        self._block, self._closed, self._pending = None, False, True
+        self._thread = threading.Thread(target=self._work, name="pao-draw-ahead", daemon=True)
+        self._thread.start()
+
+    def _work(self):
+        while True:
+            self._go.acquire()
+            if self._closed:
+                return
+            try:
+                self._block = self._rng.standard_normal(self._shape)
+            except Exception as exc:  # raised in the caller's thread instead
+                self._block = exc
+            self._ready.release()
+
+    def standard_normal(self, shape):
+        if shape != self._shape:
+            raise ValueError(f"a run drawing ahead draws only {self._shape} normal blocks, got {shape}")
+        if not self._pending:
+            raise RuntimeError(f"a run drawing ahead draws at most one {self._shape} block per generation")
+        self._ready.acquire()
+        block, self._block, self._pending = self._block, None, False
+        if isinstance(block, Exception):
+            raise block
+        if self._left:
+            self._left -= 1
+            self._pending = True
+            self._go.release()
+        return block
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Stop and join the worker thread, after the draw it has in hand."""
+        if self._pending:
+            self._ready.acquire()
+            self._pending = False
+        self._closed = True
+        self._go.release()
+        self._thread.join()
+
+
+def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None, ahead=None):
     """One optimiser run under the shared contract.
 
     Reads n, ``generations`` and ``seed`` as integers, checks that
@@ -265,6 +386,12 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
     :func:`update_archive`, which evaluates them, so a run uses exactly
     n * (generations + 1) evaluations.  Beside the history the
     record keeps, in memory only, each generation's best position.
+
+    ``ahead(swarm)``, if given, reads the started swarm: a shape means that
+    every move draws exactly one normal block of that shape from its
+    generator and nothing else, and the moves then get a :class:`DrawAhead`
+    over the run's generator, whose thread ends with the run, also when the
+    run raises.
     """
     n = to_int("population size", n, ">= 1")
     check_pop(optimizer, n)
@@ -285,12 +412,14 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
         params=params,
     )
     swarm = start(n, rng) if start else _start_swarm(problem, n, rng)
+    shape = ahead(swarm) if ahead and generations else None
+    draws = DrawAhead(rng, shape, generations) if shape else nullcontext(rng)
     # a move that overflows is reported once, by evaluate_population's
     # ObjectiveEvaluationError, not first by a RuntimeWarning per NumPy call
-    with np.errstate(over="ignore", invalid="ignore"):
+    with draws as source, np.errstate(over="ignore", invalid="ignore"):
         for g in range(generations + 1):
             if g:
-                swarm = move(swarm, rng)
+                swarm = move(swarm, source)
             best = float(swarm.global_best_fit)
             record.history.append(
                 history_entry(
@@ -310,10 +439,13 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
 def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) -> RunRecord:
     """Full optimiser run: init plus ``generations`` steps, seeded end to end.
 
-    Uses exactly n * (generations + 1) objective evaluations.
+    Uses exactly n * (generations + 1) objective evaluations.  Where
+    :func:`noise_block` gives a shape, the run draws each generation's noise
+    one generation ahead (:class:`DrawAhead`); the records are the same.
     """
     return drive(
         "pao", problem, n, generations, seed, cfg.params_dict(),
         move=lambda swarm, rng: step_swarm(swarm, cfg, problem, rng),
         start=lambda n, rng: initialize_swarm(problem, n, cfg, rng),
+        ahead=lambda swarm: noise_block(cfg, swarm),
     )

@@ -146,8 +146,7 @@ def cell_processes(n_cells: int) -> int:
     """
     if not hasattr(os, "fork"):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, n_cells))
+    return max(1, min(engine.usable_cpus(), n_cells))
 
 
 def run_suite(suite: BenchmarkSuite, out_path) -> dict:
@@ -177,8 +176,10 @@ def run_suite(suite: BenchmarkSuite, out_path) -> dict:
         # imported here, so `import pao` does not load it
         import multiprocessing
 
-        # leaving the block terminates and joins the workers, on success or error
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
+        # leaving the block terminates and joins the workers, on success or
+        # error; the pool already gives every CPU a process, so its runs
+        # draw their noise in line
+        with multiprocessing.get_context("fork").Pool(processes, initializer=engine.draw_in_line) as pool:
             cells = pool.starmap(run_cell, jobs, chunksize=1)
     records = [rec for cell in cells for rec in cell]
     write_jsonl(records, os.path.join(out_path, "records.jsonl"))

@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 from pao.attractors import (
     AttractorSpec,
     DE_WEIGHT,
+    DRAWING_KINDS,
     VALID_KINDS,
+    _RULES,
     _de_donors,
     _donor_bounds,
     _fitness_weighted_mean,
@@ -158,6 +160,24 @@ class TestRules:
         alpha = compute_attractors(self.swarm, [AttractorSpec(kind, **kwargs)], self.rng)
         assert alpha.shape == (1, 5, 2)
         return alpha[0]
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_exactly_the_drawing_kinds_touch_the_generator(self, kind):
+        # a run draws its noise ahead only under a menu of kinds that do not
+        # draw, so a kind that draws must be marked as drawing
+        class Touched(Exception):
+            pass
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise Touched(name)
+
+        try:
+            _RULES[kind](self.swarm, AttractorSpec(kind), Untouchable())
+            touched = False
+        except Touched:
+            touched = True
+        assert touched == (kind in DRAWING_KINDS)
 
     def test_globalbest(self):
         np.testing.assert_array_equal(self.one("globalbest"), np.tile([1.0, 2.0], (5, 1)))

@@ -182,7 +182,8 @@ class TestRun:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"seed": seed}))
             argv += ["--config", str(cfg)]
-        error = f"config key 'seed' must be in [0, 2**64), got {seed}"
+        what = "--seed" if given_in == "flag" else "config key 'seed'"
+        error = f"{what} must be in [0, 2**64), got {seed}"
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             main(argv)
         assert not out.exists()
@@ -338,7 +339,8 @@ class TestBenchAndPlotData:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"seed": seed}))
             argv += ["--config", str(cfg)]
-        error = f"config key 'seed' must be in [0, 2**64), got {seed}"
+        what = "--seed" if given_in == "flag" else "config key 'seed'"
+        error = f"{what} must be in [0, 2**64), got {seed}"
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             main(argv)
         assert not out.exists()

@@ -2,8 +2,11 @@
 generation step contract and end-to-end run reproducibility."""
 
 import json
+import os
 import pickle
 import re
+import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 
@@ -12,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pao import baselines, engine
-from pao.attractors import AttractorSpec, compute_attractors, noise_scale, weighted_centroid
+from pao.attractors import DRAWING_KINDS, AttractorSpec, compute_attractors, noise_scale, weighted_centroid
 from pao.baselines import PsoConfig
 from pao.benchmarks import make_problem
 from pao.engine import (
     VELOCITY_INITS,
+    DrawAhead,
     ObjectiveEvaluationError,
     PaoConfig,
     Swarm,
@@ -740,3 +744,168 @@ class TestSwarmContract:
         assert any(np.any(s.velocities != 0.0) for s, _ in seen)
         for swarm, _ in seen:
             assert np.all(np.abs(swarm.velocities) <= vmax)
+
+
+# the draw-ahead tests' swarm: blocks of 150 x 16 x 2 = 4800 normals
+AHEAD_N, AHEAD_D, AHEAD_GENS = 150, 16, 12
+
+
+def drawn_ahead(monkeypatch):
+    """The (shape, blocks) of each DrawAhead the runs after this call make."""
+    assert AHEAD_N * AHEAD_D * 2 >= engine.DRAW_AHEAD_MIN
+    made = []
+    monkeypatch.setattr(engine, "DrawAhead", lambda rng, *args: made.append(args) or DrawAhead(rng, *args))
+    return made
+
+
+def record_json(problem, cfg=PaoConfig(), gens=AHEAD_GENS):
+    return json.dumps(run_pao(problem, AHEAD_N, gens, cfg, seed=0).to_json_dict(include_duration=False))
+
+
+class TestDrawAhead:
+    """A run whose noise block is its generations' only draw draws the block
+    one generation ahead on a second CPU, with the same records."""
+
+    CONFIGS = {
+        "default": (PaoConfig(), AHEAD_GENS),
+        "no bounds": (PaoConfig(bounds_policy="none"), AHEAD_GENS),
+        "reflect, uniform-scaled": (PaoConfig(bounds_policy="reflect", velocity_init="uniform-scaled"),
+                                    AHEAD_GENS),
+        "three deterministic kinds": (
+            PaoConfig(hp=Hyperparams(k=(1.0, 2.0, 0.5)),
+                      specs=(AttractorSpec("averagelocalbest"), AttractorSpec("weightedaverageparticle"),
+                             AttractorSpec("averageparticle"))),
+            AHEAD_GENS,
+        ),
+        "q0 = 0": (PaoConfig(hp=Hyperparams(q0=0.0)), AHEAD_GENS),
+        "gens = 0": (PaoConfig(), 0),
+    }
+
+    @pytest.mark.parametrize("name", ["dejong", "schwefel", "rosenbrock"])
+    @pytest.mark.parametrize("cfg, gens", list(CONFIGS.values()), ids=list(CONFIGS))
+    def test_records_are_those_of_a_run_drawing_in_line(self, monkeypatch, cfg, gens, name):
+        problem = make_problem(name, AHEAD_D)
+        made = drawn_ahead(monkeypatch)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        ahead = record_json(problem, cfg, gens)
+        # a run that draws no noise has nothing to draw ahead
+        assert made == ([] if cfg.hp.q0 == 0 or gens == 0 else [((AHEAD_N, AHEAD_D, 2), gens)])
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 1)
+        assert record_json(problem, cfg, gens) == ahead
+        assert len(made) <= 1
+
+    def test_a_generation_at_zero_noise_leaves_its_block_to_the_next(self, monkeypatch):
+        # every third generation skips its draw, and the block drawn ahead
+        # for it is the next drawing generation's, as in line
+        monkeypatch.setattr(engine, "noise_scale", lambda swarm: 0.0 if swarm.generation % 3 == 1 else noise_scale(swarm))
+        problem = make_problem("rastrigin", AHEAD_D)
+        made = drawn_ahead(monkeypatch)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        ahead = record_json(problem)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 1)
+        assert record_json(problem) == ahead and len(made) == 1
+
+    def failing_problem(self, threads, fail_at=None):
+        """rastrigin that records the live thread count at each evaluation
+        and, from its ``fail_at``-th evaluation on, returns NaN."""
+        problem = make_problem("rastrigin", AHEAD_D)
+        batch = problem.batch
+
+        def watched(xs):
+            threads.append(threading.active_count())
+            if fail_at is not None and len(threads) >= fail_at:
+                return np.full(len(xs), np.nan)
+            return batch(xs)
+
+        return replace(problem, batch=watched)
+
+    @pytest.mark.parametrize("fail_at", [None, 6])
+    def test_no_thread_outlives_its_run(self, monkeypatch, fail_at):
+        made = drawn_ahead(monkeypatch)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        before, threads = threading.active_count(), []
+        problem = self.failing_problem(threads, fail_at)
+        threads.clear()
+        if fail_at is None:
+            run_pao(problem, AHEAD_N, AHEAD_GENS, PaoConfig(), seed=0).check()
+        else:
+            with pytest.raises(ObjectiveEvaluationError, match="returned a non-finite value"):
+                run_pao(problem, AHEAD_N, AHEAD_GENS, PaoConfig(), seed=0)
+            assert len(threads) == fail_at
+        # the start's evaluation comes before the thread, every trial's during it
+        assert len(made) == 1 and threads[0] == before and set(threads[1:]) == {before + 1}
+        assert threading.active_count() == before
+
+    IN_LINE = {
+        kind: dict(cfg=PaoConfig(hp=Hyperparams(k=(1.0, 1.0)), specs=(AttractorSpec("globalbest"), AttractorSpec(kind))))
+        for kind in sorted(DRAWING_KINDS)
+    } | {"100 x 8 block": dict(n=100, dim=8)}
+
+    @pytest.mark.parametrize("case", list(IN_LINE.values()), ids=list(IN_LINE))
+    def test_runs_in_line(self, monkeypatch, case):
+        made = drawn_ahead(monkeypatch)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        problem = make_problem("dejong", case.get("dim", AHEAD_D))
+        run_pao(problem, case.get("n", AHEAD_N), 3, case.get("cfg", PaoConfig()), seed=0).check()
+        assert made == []
+
+    def test_a_process_on_one_cpu_runs_in_line(self, monkeypatch):
+        made = drawn_ahead(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_pao(make_problem("dejong", AHEAD_D), AHEAD_N, 3, PaoConfig(), seed=0).check()
+        assert made == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_pao(make_problem("dejong", AHEAD_D), AHEAD_N, 3, PaoConfig(), seed=0).check()
+        assert made == [((AHEAD_N, AHEAD_D, 2), 3)]
+
+    def test_hands_over_the_generators_blocks_in_order(self):
+        shape, drawn = (5, 3, 2), np.random.default_rng(7)
+        with DrawAhead(drawn, shape, 3) as ahead:
+            blocks = [ahead.standard_normal(shape) for _ in range(2)]
+        # closed with the third block drawn and never handed over, and no more
+        rng = np.random.default_rng(7)
+        for block in blocks:
+            np.testing.assert_array_equal(block, rng.standard_normal(shape))
+        rng.standard_normal(shape)
+        assert drawn.bit_generator.state == rng.bit_generator.state
+        ahead._thread.join(timeout=0)
+        assert not ahead._thread.is_alive()
+
+    def test_hands_over_every_block_under_rapid_thread_switches(self):
+        # three runs at once, six threads on fewer cores, switching every
+        # microsecond: a lost hand-over would give a stale or missing block
+        shape, blocks, results = (4, 3, 2), 60, {}
+
+        def consume(seed):
+            with DrawAhead(np.random.default_rng(seed), shape, blocks) as ahead:
+                results[seed] = [ahead.standard_normal(shape) for _ in range(blocks)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [threading.Thread(target=consume, args=(seed,)) for seed in range(3)]
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=30)
+                assert not run.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for block in results[seed]:
+                np.testing.assert_array_equal(block, rng.standard_normal(shape))
+
+    def test_refuses_any_other_draw(self):
+        shape = (5, 3, 2)
+        ahead = DrawAhead(np.random.default_rng(7), shape, 1)
+        try:
+            with pytest.raises(ValueError, match=re.escape("draws only (5, 3, 2) normal blocks, got (5, 3)")):
+                ahead.standard_normal((5, 3))
+            ahead.standard_normal(shape)
+            # its one block handed over, a second draw of the generation
+            with pytest.raises(RuntimeError, match="at most one"):
+                ahead.standard_normal(shape)
+            assert not hasattr(ahead, "integers")
+        finally:
+            ahead.close()

@@ -6,8 +6,6 @@ import multiprocessing
 import os
 import random
 import re
-import subprocess
-import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -418,11 +416,21 @@ class TestRunSuite:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "records.jsonl").exists()
 
-    def test_import_pao_loads_no_multiprocessing(self):
-        # run_suite imports it only when it starts a pool
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
-        code = "import sys, pao; sys.exit('multiprocessing' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    def test_pooled_workers_draw_in_line(self, monkeypatch, tmp_path):
+        # the pool already gives every CPU a process; a DrawAhead raised in a
+        # worker would reach the caller
+        def refused(*args):
+            raise RuntimeError("a run drew ahead")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(engine, "DrawAhead", refused)
+        assert 150 * 16 * 2 >= engine.DRAW_AHEAD_MIN
+        suite = tiny_suite(pop=150, gens=2, reps=1, optimizers=("pao",), problems=(("dejong", 16), ("rastrigin", 16)))
+        assert harness.cell_processes(2) == 2
+        run_suite(suite, tmp_path)
+        # the same cell in this process draws ahead
+        with pytest.raises(RuntimeError, match="a run drew ahead"):
+            run_one("pao", make_problem("dejong", 16), 150, 2, 0)
 
     def test_summary_statistics(self, tmp_path):
         suite = tiny_suite(reps=3, optimizers=("de",), problems=(("dejong", 2),))

@@ -40,12 +40,22 @@ def test_prints_the_kernel_layer_in_us_per_call():
 def test_prints_the_attractor_layer_in_us_per_call():
     proc = run("--gens", "0", "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
-    title, header, rule, row = proc.stdout.splitlines()[9:]
+    title, header, rule, row = proc.stdout.splitlines()[9:13]
     assert title == "us/call of the attractor layer, pop 100, median of 25 batches of 200 calls"
     assert header == "| weighted_centroid(2, 100, 2) | draw_donors(100, 3) | draw_donors(100, 4) |"
     assert rule == "|----:|----:|----:|"
     cells = row.strip("| ").split(" | ")
     assert len(cells) == 3 and all(float(c) > 0 for c in cells)
+
+
+def test_prints_the_large_swarm_row_last():
+    proc = run("--gens", "2", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    title, header, rule, row = proc.stdout.splitlines()[13:]
+    assert title == "ms/run of pao on rastrigin, pop 1000, 32D, gens 2, median of 1 seeds"
+    assert header == "| pao 1000x32 |"
+    assert rule == "|----:|"
+    assert float(row.strip("| ")) > 0
 
 
 def test_rejects_zero_seeds():
