@@ -274,37 +274,24 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# set in run_suite's pooled workers, which already give every CPU a process
-_in_pool = False
-
-
-def draw_in_line():
-    """Make every later run of this process draw its noise in line: the
-    initializer of ``run_suite``'s pooled workers."""
-    global _in_pool
-    _in_pool = True
-
-
-def noise_block(cfg: PaoConfig, swarm: Swarm):
-    """The (N, D, 2) shape of the normal block each ``step_swarm`` on
-    ``swarm``'s population draws, where a run should draw it one generation
-    ahead (see :class:`DrawAhead`); None where the run draws in line.
+def noise_block(cfg: PaoConfig, n: int, dim: int):
+    """The (n, dim, 2) shape of the normal block each ``step_swarm`` on an
+    n-particle swarm in ``dim`` dimensions draws, where a run should draw it
+    one generation ahead (see :class:`DrawAhead`); None where the run draws
+    in line.
 
     Ahead means: the block holds at least ``DRAW_AHEAD_MIN`` normals, q0 > 0,
     no attractor kind of the menu draws (so the block is a generation's only
-    draw), the process may run on two CPUs or more, and it is not one of
-    ``run_suite``'s pooled workers.
+    draw), and the process may run on two CPUs or more.
     """
-    shape = swarm.positions.shape + (2,)
     if (
-        2 * swarm.positions.size < DRAW_AHEAD_MIN
+        2 * n * dim < DRAW_AHEAD_MIN
         or not cfg.hp.q0 > 0
         or any(spec.kind in DRAWING_KINDS for spec in cfg.specs)
-        or _in_pool
         or usable_cpus() < 2
     ):
         return None
-    return shape
+    return (n, dim, 2)
 
 
 class DrawAhead:
@@ -317,45 +304,52 @@ class DrawAhead:
     the one method: it hands over the block drawn ahead and starts the next,
     and any other shape raises, so a rule that drew anything else would fail
     loudly rather than reorder the stream.  :meth:`close`, or leaving a
-    ``with`` block on it, stops and joins the thread; call it once, however
-    the run ends.
+    ``with`` block on it, stops and joins the thread, also when an
+    exception, a KeyboardInterrupt included, left a hand-over half done;
+    call it once, however the run ends.
     """
 
     def __init__(self, rng, shape, blocks):
         self._rng, self._shape, self._left = rng, shape, blocks - 1
-        # two locks used as binary semaphores, each released by the other
-        # thread: _go asks the worker for a block (the first is asked for
-        # here, so _go starts free), _ready hands one over
-        self._go, self._ready = threading.Lock(), threading.Lock()
-        self._ready.acquire()
-        self._block, self._closed, self._pending = None, False, True
+        # every field below is read and written under _cond only: _wanted
+        # asks the worker for a block, _block holds the one drawn (or the
+        # exception drawing it raised) until it is handed over
+        self._cond = threading.Condition()
+        self._wanted, self._block, self._closed = True, None, False
         self._thread = threading.Thread(target=self._work, name="pao-draw-ahead", daemon=True)
         self._thread.start()
 
     def _work(self):
         while True:
-            self._go.acquire()
-            if self._closed:
-                return
+            with self._cond:
+                self._cond.wait_for(lambda: self._wanted or self._closed)
+                # a block asked for is drawn, closed or not, so where the
+                # generator stands after close does not depend on timing
+                if not self._wanted:
+                    return
+            # drawn outside the lock: the caller works meanwhile
             try:
-                self._block = self._rng.standard_normal(self._shape)
+                block = self._rng.standard_normal(self._shape)
             except Exception as exc:  # raised in the caller's thread instead
-                self._block = exc
-            self._ready.release()
+                block = exc
+            with self._cond:
+                self._block, self._wanted = block, False
+                self._cond.notify_all()
 
     def standard_normal(self, shape):
         if shape != self._shape:
             raise ValueError(f"a run drawing ahead draws only {self._shape} normal blocks, got {shape}")
-        if not self._pending:
-            raise RuntimeError(f"a run drawing ahead draws at most one {self._shape} block per generation")
-        self._ready.acquire()
-        block, self._block, self._pending = self._block, None, False
-        if isinstance(block, Exception):
-            raise block
-        if self._left:
-            self._left -= 1
-            self._pending = True
-            self._go.release()
+        with self._cond:
+            if not self._wanted and self._block is None:
+                raise RuntimeError(f"a run drawing ahead draws at most one {self._shape} block per generation")
+            self._cond.wait_for(lambda: self._block is not None)
+            block, self._block = self._block, None
+            if isinstance(block, Exception):
+                raise block
+            if self._left:
+                self._left -= 1
+                self._wanted = True
+                self._cond.notify_all()
         return block
 
     def __enter__(self):
@@ -365,16 +359,14 @@ class DrawAhead:
         self.close()
 
     def close(self):
-        """Stop and join the worker thread, after the draw it has in hand."""
-        if self._pending:
-            self._ready.acquire()
-            self._pending = False
-        self._closed = True
-        self._go.release()
+        """Stop and join the worker thread, once it has drawn any block asked of it."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
         self._thread.join()
 
 
-def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None, ahead=None):
+def drive(optimizer, problem: Problem, n, generations, seed, params, move, start=None, ahead_shape=None):
     """One optimiser run under the shared contract.
 
     Reads n, ``generations`` and ``seed`` as integers, checks that
@@ -387,11 +379,10 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
     n * (generations + 1) evaluations.  Beside the history the
     record keeps, in memory only, each generation's best position.
 
-    ``ahead(swarm)``, if given, reads the started swarm: a shape means that
-    every move draws exactly one normal block of that shape from its
-    generator and nothing else, and the moves then get a :class:`DrawAhead`
-    over the run's generator, whose thread ends with the run, also when the
-    run raises.
+    ``ahead_shape``, if given, says that every move draws exactly one normal
+    block of that shape from its generator and nothing else; the moves of a
+    run with generations then get a :class:`DrawAhead` over the run's
+    generator, whose thread ends with the run, also when the run raises.
     """
     n = to_int("population size", n, ">= 1")
     check_pop(optimizer, n)
@@ -412,8 +403,7 @@ def drive(optimizer, problem: Problem, n, generations, seed, params, move, start
         params=params,
     )
     swarm = start(n, rng) if start else _start_swarm(problem, n, rng)
-    shape = ahead(swarm) if ahead and generations else None
-    draws = DrawAhead(rng, shape, generations) if shape else nullcontext(rng)
+    draws = DrawAhead(rng, ahead_shape, generations) if ahead_shape and generations else nullcontext(rng)
     # a move that overflows is reported once, by evaluate_population's
     # ObjectiveEvaluationError, not first by a RuntimeWarning per NumPy call
     with draws as source, np.errstate(over="ignore", invalid="ignore"):
@@ -443,9 +433,10 @@ def run_pao(problem: Problem, n: int, generations: int, cfg: PaoConfig, seed) ->
     :func:`noise_block` gives a shape, the run draws each generation's noise
     one generation ahead (:class:`DrawAhead`); the records are the same.
     """
+    n = to_int("population size", n, ">= 1")
     return drive(
         "pao", problem, n, generations, seed, cfg.params_dict(),
         move=lambda swarm, rng: step_swarm(swarm, cfg, problem, rng),
         start=lambda n, rng: initialize_swarm(problem, n, cfg, rng),
-        ahead=lambda swarm: noise_block(cfg, swarm),
+        ahead_shape=noise_block(cfg, n, problem.dim),
     )

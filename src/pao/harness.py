@@ -176,10 +176,8 @@ def run_suite(suite: BenchmarkSuite, out_path) -> dict:
         # imported here, so `import pao` does not load it
         import multiprocessing
 
-        # leaving the block terminates and joins the workers, on success or
-        # error; the pool already gives every CPU a process, so its runs
-        # draw their noise in line
-        with multiprocessing.get_context("fork").Pool(processes, initializer=engine.draw_in_line) as pool:
+        # leaving the block terminates and joins the workers, on success or error
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
             cells = pool.starmap(run_cell, jobs, chunksize=1)
     records = [rec for cell in cells for rec in cell]
     write_jsonl(records, os.path.join(out_path, "records.jsonl"))

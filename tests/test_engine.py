@@ -896,6 +896,27 @@ class TestDrawAhead:
             for block in results[seed]:
                 np.testing.assert_array_equal(block, rng.standard_normal(shape))
 
+    def test_close_returns_after_an_interrupted_hand_over(self):
+        # an interrupt that lands once the caller's block is ready, before the
+        # caller takes it, must not leave close() waiting for another block
+        shape = (5, 3, 2)
+        ahead, caller = DrawAhead(np.random.default_rng(7), shape, 3), threading.current_thread()
+        wait_for = ahead._cond.wait_for
+
+        def interrupted(predicate, timeout=None):
+            ready = wait_for(predicate, timeout)
+            if threading.current_thread() is caller:
+                raise KeyboardInterrupt
+            return ready
+
+        ahead._cond.wait_for = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            ahead.standard_normal(shape)
+        closing = threading.Thread(target=ahead.close, daemon=True)
+        closing.start()
+        closing.join(timeout=30)
+        assert not closing.is_alive() and not ahead._thread.is_alive()
+
     def test_refuses_any_other_draw(self):
         shape = (5, 3, 2)
         ahead = DrawAhead(np.random.default_rng(7), shape, 1)

@@ -416,21 +416,27 @@ class TestRunSuite:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "records.jsonl").exists()
 
-    def test_pooled_workers_draw_in_line(self, monkeypatch, tmp_path):
-        # the pool already gives every CPU a process; a DrawAhead raised in a
-        # worker would reach the caller
-        def refused(*args):
-            raise RuntimeError("a run drew ahead")
+    def test_pooled_workers_draw_ahead_with_the_records_of_one_process(self, monkeypatch, tmp_path):
+        log, real = tmp_path / "pids.txt", engine.DrawAhead
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(engine, "DrawAhead", refused)
+        def logged(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(engine, "DrawAhead", logged)
         assert 150 * 16 * 2 >= engine.DRAW_AHEAD_MIN
         suite = tiny_suite(pop=150, gens=2, reps=1, optimizers=("pao",), problems=(("dejong", 16), ("rastrigin", 16)))
-        assert harness.cell_processes(2) == 2
-        run_suite(suite, tmp_path)
-        # the same cell in this process draws ahead
-        with pytest.raises(RuntimeError, match="a run drew ahead"):
-            run_one("pao", make_problem("dejong", 16), 150, 2, 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_suite(suite, tmp_path / "pooled")
+        pids = log.read_text().split()
+        assert len(pids) == 2 and str(os.getpid()) not in pids
+        # on one CPU the cells run in this process, in line
+        log.unlink()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_suite(suite, tmp_path / "alone")
+        assert not log.exists()
+        assert sans_duration(tmp_path / "pooled") == sans_duration(tmp_path / "alone")
 
     def test_summary_statistics(self, tmp_path):
         suite = tiny_suite(reps=3, optimizers=("de",), problems=(("dejong", 2),))
